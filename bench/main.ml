@@ -108,7 +108,7 @@ let run_detail_bench () =
   let d = Lazy.force micro_design in
   let pins = Pins.build d in
   let cx, cy = Pins.centers_of_design d in
-  let legal = Dpp_place.Legal.run d ~cx ~cy () in
+  let legal = Dpp_place.Legal.run d ~soa:pins.Pins.soa ~cx ~cy () in
   let lcx = legal.Dpp_place.Legal.cx and lcy = legal.Dpp_place.Legal.cy in
   let movable = Design.movable_ids d in
   let nm = Array.length movable in
@@ -273,7 +273,7 @@ let run_par_bench () =
               ignore (Par_grad.value_grad pg pool Model.Lse ~gamma:5.0 ~cx ~cy ~gx ~gy))
         in
         let bellr = rate (fun () -> ignore (Bell.par_value_grad bp pool ~cx ~cy ~gx ~gy)) in
-        let rudy = rate (fun () -> ignore (Rudy.compute ~pool d ~cx ~cy)) in
+        let rudy = rate (fun () -> ignore (Rudy.compute ~pool ~pins d ~cx ~cy)) in
         let audit = rate (fun () -> ignore (Netbox.audit ~pool nb)) in
         (* whether the gradient kernel's chunk loop ran inline (auto-serial
            fallback: one effective core, one worker, or tiny work) rather
@@ -346,11 +346,12 @@ let run_legal_bench () =
     let d = build () in
     let cx, cy = Pins.centers_of_design d in
     Pool.with_pool ~nworkers:jobs @@ fun pool ->
-    let legal = Legal.run d ~pool ~cx ~cy () in
-    let nb = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+    let pins = Pins.build d in
+    let legal = Legal.run d ~pool ~soa:pins.Pins.soa ~cx ~cy () in
+    let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
     let h = Hypergraph.build d in
     ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~hypergraph:h ~legal ());
-    ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Legal.cx ~cy:legal.Legal.cy ());
+    ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ());
     legal.Legal.assignment, legal.Legal.cx, legal.Legal.cy, Array.copy d.Design.orient
   in
   let a1, x1, y1, o1 = backend 1 in
@@ -371,8 +372,9 @@ let run_legal_bench () =
   say "LG: Legal+Detail+Flip bit-identical at 1/2/4/8 worker domains";
   (* --- occupancy: sorted index vs the old per-row list walk --- *)
   let d = build () in
+  let soa = Dpp_netlist.Soa.of_design d in
   let cx, cy = Pins.centers_of_design d in
-  let legal = Legal.run d ~cx ~cy () in
+  let legal = Legal.run d ~soa ~cx ~cy () in
   let lcx = legal.Legal.cx in
   let die = d.Design.die in
   let nrows = d.Design.num_rows in
@@ -423,14 +425,14 @@ let run_legal_bench () =
     !best
   in
   let fresh_rows () =
-    let occ = Occ.build d ~cx:lcx ~cy:legal.Legal.cy in
+    let occ = Occ.build ~soa d ~cx:lcx ~cy:legal.Legal.cy in
     Array.init nrows (Occ.row_entries occ)
   in
   let clamp_row r = max 0 (min (nrows - 1) r) in
   (* correctness first: both backends must price every op identically *)
   begin
     let rows = fresh_rows () in
-    let occ = Occ.build d ~cx:lcx ~cy:legal.Legal.cy in
+    let occ = Occ.build ~soa d ~cx:lcx ~cy:legal.Legal.cy in
     let cur_row = Array.copy legal.Legal.assignment in
     Array.iteri
       (fun q (i, tx, dr, accept) ->
@@ -486,7 +488,7 @@ let run_legal_bench () =
     float_of_int n_ops /. (Unix.gettimeofday () -. t0)
   in
   let time_occ () =
-    let occ = Occ.build d ~cx:lcx ~cy:legal.Legal.cy in
+    let occ = Occ.build ~soa d ~cx:lcx ~cy:legal.Legal.cy in
     let cur_row = Array.copy legal.Legal.assignment in
     let acc = ref 0.0 in
     let t0 = Unix.gettimeofday () in
@@ -534,9 +536,11 @@ let run_legal_bench () =
         let d = build () in
         let cx, cy = Pins.centers_of_design d in
         Pool.with_pool ~nworkers:jobs @@ fun pool ->
-        let legal_rate = rate (fun () -> ignore (Legal.run d ~pool ~cx ~cy ())) in
-        let legal = Legal.run d ~pool ~cx ~cy () in
-        let nb = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+        let pins = Pins.build d in
+        let soa = pins.Pins.soa in
+        let legal_rate = rate (fun () -> ignore (Legal.run d ~pool ~soa ~cx ~cy ())) in
+        let legal = Legal.run d ~pool ~soa ~cx ~cy () in
+        let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
         let h = Hypergraph.build d in
         let t0 = Unix.gettimeofday () in
         ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~hypergraph:h ~legal ());
@@ -583,7 +587,10 @@ let run_ml_bench () =
   say "ML: flat vs multilevel GP on %s (%d cells, %d movable)" d.Design.name
     (Design.num_cells d) movables;
   let cfg ml jobs = { Config.structure_aware with Config.multilevel = ml; jobs } in
-  let gp_wall (r : Flow.result) = List.assoc "gp" r.Flow.times in
+  let gp_stage (r : Flow.result) =
+    List.find (fun (s : Trace.stage) -> s.Trace.name = "gp") r.Flow.stage_trace
+  in
+  let gp_wall r = (gp_stage r).Trace.wall_s in
   let flat = Flow.run d (cfg Config.Ml_off 1) in
   let ml = Flow.run d (cfg Config.Ml_on 1) in
   let speedup = gp_wall flat /. gp_wall ml in
@@ -593,13 +600,7 @@ let run_ml_bench () =
   say "  flat: gp %6.2f s  HPWL %.0f" (gp_wall flat) flat.Flow.hpwl_final;
   say "  ml:   gp %6.2f s  HPWL %.0f" (gp_wall ml) ml.Flow.hpwl_final;
   say "  gp speedup %.2fx, final HPWL delta %+.2f%%" speedup delta_pct;
-  let levels =
-    match
-      List.find_opt (fun (s : Trace.stage) -> s.Trace.name = "gp") ml.Flow.stage_trace
-    with
-    | Some s -> s.Trace.levels
-    | None -> []
-  in
+  let levels = (gp_stage ml).Trace.levels in
   List.iter
     (fun (l : Trace.level) ->
       say "    level %d: %5d movables  hpwl %12.0f  overflow %.3f  %.2f s" l.Trace.index
@@ -825,7 +826,7 @@ let run_xl_bench () =
         let rp = R.Rpins.build d in
         let nx, ny = Grid.default_dims d in
         let grid = Grid.build d ~nx ~ny in
-        let bell = Bell.create ~soa:pins.Pins.soa d ~grid ~target_density:0.9 in
+        let bell = Bell.of_soa pins.Pins.soa ~grid ~target_density:0.9 in
         let rbell = R.Rbell.create d ~grid ~target_density:0.9 in
         (* --- gate 1: SoA kernels bit-identical to the record path --- *)
         gate

@@ -78,12 +78,17 @@ let run verbose preset bookshelf mode beta density seed jobs multilevel flat rou
             | Some (Dpp_report.Json.Num v) -> v
             | _ -> 0.0
           in
+          let failed =
+            match List.assoc_opt "legal_failed" st.Dpp_report.Trace.extra with
+            | Some (Dpp_report.Json.Num v) -> Printf.sprintf "  failed %.0f cells" v
+            | _ -> ""
+          in
           Printf.printf
-            "  %-8s %6.2fs  gc: minor %8.1f Mw  major %7.1f Mw  majors %3.0f  mem: hwm %8.1f MB  heap %8.1f MB\n"
+            "  %-8s %6.2fs  gc: minor %8.1f Mw  major %7.1f Mw  majors %3.0f  mem: hwm %8.1f MB  heap %8.1f MB%s\n"
             st.Dpp_report.Trace.name st.Dpp_report.Trace.wall_s (gc "gc_minor_mwords")
             (gc "gc_major_mwords") (gc "gc_majors")
             (float_of_int st.Dpp_report.Trace.vm_hwm_kb /. 1024.0)
-            (float_of_int st.Dpp_report.Trace.heap_kb /. 1024.0))
+            (float_of_int st.Dpp_report.Trace.heap_kb /. 1024.0) failed)
         r.Dpp_core.Flow.stage_trace
     in
     let write_trace results =

@@ -62,7 +62,7 @@ let () =
   let nc = Design.num_cells d in
   let nx, ny = Grid.default_dims d in
   let grid = Grid.build d ~nx ~ny in
-  let bell = Bell.create ~soa d ~grid ~target_density:0.9 in
+  let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
   let par = Par_grad.create pool pins in
   let bell_par = Bell.par_create bell in
   let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in

@@ -218,9 +218,9 @@ let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gam
 module Rudy = Dpp_congest.Rudy
 module Gp = Dpp_place.Gp
 
-let congestion ?pool ?pins ?(tol = 1e-9) d ~(stats : Rudy.stats) ~cx ~cy =
+let congestion ?pool ?(tol = 1e-9) ~pins d ~(stats : Rudy.stats) ~cx ~cy =
   let oracle = "congestion" in
-  let r = Rudy.compute ?pool ?pins d ~cx ~cy in
+  let r = Rudy.compute ?pool ~pins d ~cx ~cy in
   let s = Rudy.stats r in
   let acc = ref [] in
   let check subject fresh stored =

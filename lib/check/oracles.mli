@@ -84,8 +84,8 @@ val gradient :
 
 val congestion :
   ?pool:Dpp_par.Pool.t ->
-  ?pins:Dpp_wirelen.Pins.t ->
   ?tol:float ->
+  pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   stats:Dpp_congest.Rudy.stats ->
   cx:float array ->

@@ -46,7 +46,7 @@ let scratch_ints ?arena key n =
 let scratch_floats ?arena key n =
   match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
 
-let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t) =
+let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~hypergraph:h (fine : Design.t) =
   let nc = Design.num_cells fine in
   let cluster_of = Array.make nc (-1) in
   let next = ref 0 in
@@ -83,7 +83,6 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
   (* 2. heavy-edge matching over the remaining movables, visited in a
      seeded shuffle; ties break on the lower cell id so the result is a
      pure function of (design, groups, seed) *)
-  let h = Hypergraph.build fine in
   let movable = Design.movable_ids fine in
   let free = Array.of_list (List.filter (fun i -> cluster_of.(i) < 0) (Array.to_list movable)) in
   let mean_area =
@@ -296,13 +295,17 @@ let largest_movable_component (d : Design.t) =
   end
 
 let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
-    ?(area_cap_factor = 4.0) ~seed (root : Design.t) =
+    ?(area_cap_factor = 4.0) ~seed ~hypergraph (root : Design.t) =
   let rng = Rng.create (seed lxor 0x436f6172) in
   let rec go acc depth fine groups protect =
     let n_mov = Array.length (Design.movable_ids fine) in
     if depth >= max_levels || n_mov <= min_cells then List.rev acc
     else begin
-      let lvl = coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~area_cap_factor fine in
+      (* the root's adjacency is the caller's; each coarse design derives its own *)
+      let hypergraph = if depth = 0 then hypergraph else Hypergraph.build fine in
+      let lvl =
+        coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~area_cap_factor ~hypergraph fine
+      in
       let n_coarse = Array.length (Design.movable_ids lvl.coarse) in
       Log.info (fun m ->
           m "level %d: %d -> %d movables (%d group clusters)" (depth + 1) n_mov n_coarse

@@ -35,9 +35,12 @@ val build :
   ?max_levels:int ->
   ?area_cap_factor:float ->
   seed:int ->
+  hypergraph:Dpp_netlist.Hypergraph.t ->
   Dpp_netlist.Design.t ->
   level list
-(** [build ~groups ~seed d] is the coarsening hierarchy, finest level
+(** [build ~groups ~seed ~hypergraph d] is the coarsening hierarchy,
+    matched over [hypergraph] (the cell<->net adjacency of [d]) at the
+    first level and over each coarse design's own one below; finest level
     first ([levels.(k).coarse == levels.(k+1).fine]).  [groups] seeds
     the first level only (deeper levels keep those clusters intact as
     protected singletons).  Stops when the coarse design has at most

@@ -20,7 +20,7 @@ let default_dims (d : Design.t) =
 
 module Pool = Dpp_par.Pool
 
-let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
+let compute ?pool ?arena ~(pins : Pins.t) ?nx ?ny (d : Design.t) ~cx ~cy =
   let dnx, dny = default_dims d in
   (* a non-positive request (or a degenerate derivation) collapses to the
      single-bin grid rather than a zero-length demand array *)
@@ -47,9 +47,6 @@ let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
     match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
   in
   let demand = afloats "rudy.demand" (nx * ny) in
-  (* the flow hands down its shared pin view; standalone callers pay one
-     flat-core derivation *)
-  let pins = match pins with Some p -> p | None -> Pins.build d in
   let soa = pins.Pins.soa in
   let clamp_ix v = max 0 (min (nx - 1) v) in
   let clamp_iy v = max 0 (min (ny - 1) v) in

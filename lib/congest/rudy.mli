@@ -23,7 +23,7 @@ type t = {
 val compute :
   ?pool:Dpp_par.Pool.t ->
   ?arena:Dpp_util.Arena.t ->
-  ?pins:Dpp_wirelen.Pins.t ->
+  pins:Dpp_wirelen.Pins.t ->
   ?nx:int ->
   ?ny:int ->
   Dpp_netlist.Design.t ->
@@ -31,9 +31,8 @@ val compute :
   cy:float array ->
   t
 (** Default grid: {!Dpp_density.Grid.default_dims}-like sizing (~4 cells
-    per bin, clamped to 8..256 per side).  [pins] reuses an existing pin
-    view (the flow passes its shared one); without it the call derives a
-    fresh flat core from [d] — avoid that on large designs.  The supply is calibrated so the
+    per bin, clamped to 8..256 per side).  [pins] is the pin view of [d]
+    (the flow passes its shared one).  The supply is calibrated so the
     design-wide average utilisation of routing area is meaningful across
     designs: [supply = total demand / die area] would always average 1, so
     instead the supply is [2 * sqrt(total cell area) / die area]-free:

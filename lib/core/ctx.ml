@@ -16,7 +16,7 @@ type t = {
           context owns its own. *)
   soa : Soa.t;
   pins : Pins.t;
-  hypergraph : Hypergraph.t Lazy.t;
+  hypergraph : Hypergraph.t;
   mutable cx : float array;
   mutable cy : float array;
   mutable netbox : Netbox.t option;
@@ -58,7 +58,7 @@ let create design config =
     arena = Dpp_util.Arena.create ();
     soa;
     pins = Pins.of_soa soa;
-    hypergraph = lazy (Hypergraph.build design);
+    hypergraph = Hypergraph.build design;
     cx;
     cy;
     netbox = None;

@@ -1,13 +1,16 @@
 (** The shared placement context threaded through the flow's stages.
 
     One [t] is allocated per {!Flow.run}: it owns the placed design copy,
-    the pin view (built {e once} — the flip stage keeps its offsets
-    consistent in place), a lazily built hypergraph, the live coordinate
-    arrays, and, from legalization onward, the {!Dpp_wirelen.Netbox}
+    the three netlist views derived from it, the live coordinate arrays,
+    and, from legalization onward, the {!Dpp_wirelen.Netbox}
     incremental-cost cache that the detailed-placement and flip stages
     evaluate their moves against.  Stages communicate exclusively by
-    mutating the context, which is what later scaling work (parallel
-    passes, sharded density, cross-run caching) builds on. *)
+    mutating the context.
+
+    {!create} is the only place a flow derives the input design's [soa],
+    [pins] and [hypergraph]; every stage hands them to its engine as
+    required arguments.  The flip stage mirrors pin offsets in place
+    through the netbox, so the pin view stays valid after it. *)
 
 type t = {
   design : Dpp_netlist.Design.t;  (** the placed copy being optimized *)
@@ -25,7 +28,7 @@ type t = {
           [x]/[y]/[orient] arrays alias the design's, so in-place mutation
           (flips) stays visible through both views *)
   pins : Dpp_wirelen.Pins.t;  (** built once at context creation, over [soa] *)
-  hypergraph : Dpp_netlist.Hypergraph.t Lazy.t;
+  hypergraph : Dpp_netlist.Hypergraph.t;  (** the cell<->net adjacency of [design] *)
   mutable cx : float array;  (** live cell centers — the current best placement *)
   mutable cy : float array;
   mutable netbox : Dpp_wirelen.Netbox.t option;
@@ -70,7 +73,7 @@ type t = {
 }
 
 val create : Dpp_netlist.Design.t -> Config.t -> t
-(** Derives the flat view and pin view and captures the design's
+(** Derives the flat, pin and hypergraph views and captures the design's
     current centers. *)
 
 val set_skip : t -> int array -> unit

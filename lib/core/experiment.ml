@@ -4,6 +4,7 @@ module Slicer = Dpp_extract.Slicer
 module Exmetrics = Dpp_extract.Exmetrics
 module Table = Dpp_report.Table
 module Series = Dpp_report.Series
+module Trace = Dpp_report.Trace
 module Statx = Dpp_util.Statx
 
 type table = { t_title : string; t_header : string list; t_rows : string list list }
@@ -81,7 +82,9 @@ let table3 entries =
   }
 
 let stage_time (r : Flow.result) stage =
-  match List.assoc_opt stage r.Flow.times with Some t -> t | None -> 0.0
+  match List.find_opt (fun (s : Trace.stage) -> s.Trace.name = stage) r.Flow.stage_trace with
+  | Some s -> s.Trace.wall_s
+  | None -> 0.0
 
 let table4 entries =
   let rows =

@@ -38,7 +38,6 @@ type result = {
   trace : Gp.round_info list;
   rt_trace : Gp.rt_round list;
   stage_trace : Trace.stage list;
-  times : (string * float) list;
   total_time : float;
 }
 
@@ -68,7 +67,7 @@ let extract_stage =
         (match cfg.Config.group_source with
         | Config.Ground_truth -> ctx.Ctx.groups_used <- d.Design.groups
         | Config.Extracted ->
-          let r = Slicer.run d cfg.Config.extract in
+          let r = Slicer.run_with ~hypergraph:ctx.Ctx.hypergraph d cfg.Config.extract in
           let metrics =
             Exmetrics.compare_to_truth ~truth:d.Design.groups ~found:r.Slicer.groups
           in
@@ -87,7 +86,7 @@ let init_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        let qp = Qp.run ~seed:cfg.Config.seed d in
+        let qp = Qp.run_with ~seed:cfg.Config.seed ~hypergraph:ctx.Ctx.hypergraph d in
         Ctx.set_coords ctx qp.Qp.cx qp.Qp.cy;
         (* idealized arrays are oriented by the connectivity-driven initial
            placement, so alignment works with the net forces, not against
@@ -143,7 +142,7 @@ let gp_stage =
               | Config.Structure_aware -> cfg.Config.beta);
             groups = ctx.Ctx.soft_dgs;
             rigid_groups = ctx.Ctx.rigid_dgs @ ctx.Ctx.macro_dgs;
-            pool = Some ctx.Ctx.pool;
+            pool = ctx.Ctx.pool;
             routability = cfg.Config.routability;
             rt_interval = cfg.Config.rt_interval;
             rt_overflow = cfg.Config.rt_overflow;
@@ -158,13 +157,13 @@ let gp_stage =
             Dpp_coarsen.build ~arena:ctx.Ctx.arena
               ~groups:(ctx.Ctx.dgroups @ ctx.Ctx.macro_dgs)
               ~min_cells:cfg.Config.ml_min_cells ~max_levels:cfg.Config.ml_max_levels
-              ~seed:cfg.Config.seed d
+              ~seed:cfg.Config.seed ~hypergraph:ctx.Ctx.hypergraph d
           else []
         in
         ctx.Ctx.ml_levels <- levels;
         let mlr =
-          Gp.run_multilevel ~arena:ctx.Ctx.arena ~soa:ctx.Ctx.soa ~pins:ctx.Ctx.pins d
-            gp_cfg ~levels ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
+          Gp.run_multilevel ~arena:ctx.Ctx.arena ~pins:ctx.Ctx.pins d gp_cfg ~levels
+            ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
         in
         ctx.Ctx.gp <- Some mlr.Gp.result;
         ctx.Ctx.gp_levels <- mlr.Gp.level_trace;
@@ -179,9 +178,12 @@ let snap_stage =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
+        let pins = ctx.Ctx.pins and hypergraph = ctx.Ctx.hypergraph in
         (* movable multi-row macros must become row-aligned obstacles in
            every mode: the row legalizer cannot handle them *)
-        let placed_macros = Shaping.snap ~max_die_fraction:1.0 d ctx.Ctx.macro_dgs ~cx ~cy in
+        let placed_macros =
+          Shaping.snap ~max_die_fraction:1.0 ~pins ~hypergraph d ctx.Ctx.macro_dgs ~cx ~cy
+        in
         let placed_groups =
           match cfg.Config.mode with
           | Config.Baseline -> []
@@ -189,7 +191,8 @@ let snap_stage =
             (* soft groups that fit also snap (they were pulled toward
                arrays by the penalty); Shaping drops oversized ones *)
             Shaping.snap ~max_die_fraction:snap_fraction
-              ~extra_obstacles:(Shaping.obstacles placed_macros) d ctx.Ctx.dgroups ~cx ~cy
+              ~extra_obstacles:(Shaping.obstacles placed_macros) ~pins ~hypergraph d
+              ctx.Ctx.dgroups ~cx ~cy
         in
         let placed = placed_macros @ placed_groups in
         List.iter (fun p -> Shaping.apply p ~cx ~cy) placed;
@@ -211,9 +214,9 @@ let legal_stage =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design in
         let l =
-          Legal.run d ~pool:ctx.Ctx.pool ~arena:ctx.Ctx.arena ~soa:ctx.Ctx.soa
-            ~extra_obstacles:ctx.Ctx.obstacles ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound
-            ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy ()
+          Legal.run d ~pool:ctx.Ctx.pool ~arena:ctx.Ctx.arena ~extra_obstacles:ctx.Ctx.obstacles
+            ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound ~soa:ctx.Ctx.soa ~cx:ctx.Ctx.cx
+            ~cy:ctx.Ctx.cy ()
         in
         Abacus.run d ~extra_obstacles:ctx.Ctx.obstacles ~skip:ctx.Ctx.skip
           ~target_cx:ctx.Ctx.cx ~legal:l ();
@@ -232,10 +235,9 @@ let detail_stage =
       (fun (ctx : Ctx.t) ->
         let legal = Option.get ctx.Ctx.legal in
         let stats =
-          Detail.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
-            ~max_passes:ctx.Ctx.config.Config.detail_passes
-            ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx)
-            ~hypergraph:(Lazy.force ctx.Ctx.hypergraph) ~legal ()
+          Detail.run ctx.Ctx.design ~pool:ctx.Ctx.pool
+            ~max_passes:ctx.Ctx.config.Config.detail_passes ~skip:ctx.Ctx.skip
+            ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx) ~hypergraph:ctx.Ctx.hypergraph ~legal ()
         in
         ctx.Ctx.detail_stats <- Some stats;
         ctx);
@@ -251,9 +253,8 @@ let flip_stage =
            through the netbox, so the pin view built at context creation
            stays valid — no rebuild. *)
         let stats =
-          Dpp_place.Flip.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
-            ~skip:ctx.Ctx.flip_skip ~netbox:(Ctx.netbox ctx) ~cx:ctx.Ctx.cx
-            ~cy:ctx.Ctx.cy ()
+          Dpp_place.Flip.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~skip:ctx.Ctx.flip_skip
+            ~netbox:(Ctx.netbox ctx) ()
         in
         ctx.Ctx.flip_stats <- Some stats;
         ctx);
@@ -363,6 +364,10 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
               "rt_best_ace", Json.Num last.Gp.rt_best;
             ]
           | _ -> [])
+        | "legal" -> (
+          match ctx.Ctx.legal with
+          | Some l -> [ "legal_failed", Json.Num (float_of_int (List.length l.Legal.failed)) ]
+          | None -> [])
         | "metrics" -> (
           match ctx.Ctx.congestion with
           | Some s ->
@@ -435,7 +440,6 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
     trace = (match gp with Some g -> g.Gp.trace | None -> []);
     rt_trace = (match gp with Some g -> g.Gp.rt_trace | None -> []);
     stage_trace;
-    times = List.map (fun (r : Trace.stage) -> r.Trace.name, r.Trace.wall_s) stage_trace;
     total_time = Unix.gettimeofday () -. t_start;
   }
 

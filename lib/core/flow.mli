@@ -47,7 +47,6 @@ type result = {
           runs); [[]] unless [routability] was on and steering ran *)
   stage_trace : Dpp_report.Trace.stage list;
       (** one record per pipeline stage, flow order *)
-  times : (string * float) list;  (** stage name -> seconds, flow order *)
   total_time : float;
 }
 

@@ -318,8 +318,8 @@ let par_checks (c : case) =
     end;
     (* RUDY: same worker-count independence over the pooled scatter *)
     if !fail = None then begin
-      let r1 = Rudy.compute ~pool:pool1 d ~cx ~cy in
-      let rn = Rudy.compute ~pool d ~cx ~cy in
+      let r1 = Rudy.compute ~pool:pool1 ~pins d ~cx ~cy in
+      let rn = Rudy.compute ~pool ~pins d ~cx ~cy in
       Option.iter (record "rudy")
         (first_mismatch ~what:"demand" r1.Rudy.demand rn.Rudy.demand)
     end;
@@ -364,16 +364,12 @@ let backend_checks (c : case) =
       let d = random_design ~seed:c.seed ~cells:(c.cells / 4) ~nets:c.nets in
       let cx, cy = Pins.centers_of_design d in
       Pool.with_pool ~nworkers:jobs @@ fun pool ->
-      let legal = Dpp_place.Legal.run d ~pool ~cx ~cy () in
-      let nb =
-        Netbox.build (Pins.build d) ~cx:legal.Dpp_place.Legal.cx
-          ~cy:legal.Dpp_place.Legal.cy
-      in
+      let pins = Pins.build d in
+      let legal = Dpp_place.Legal.run d ~pool ~soa:pins.Pins.soa ~cx ~cy () in
+      let nb = Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
       let h = Dpp_netlist.Hypergraph.build d in
       ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~hypergraph:h ~legal ());
-      ignore
-        (Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Dpp_place.Legal.cx
-           ~cy:legal.Dpp_place.Legal.cy ());
+      ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ());
       ( legal.Dpp_place.Legal.assignment,
         legal.Dpp_place.Legal.cx,
         legal.Dpp_place.Legal.cy,

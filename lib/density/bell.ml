@@ -115,9 +115,8 @@ let set_inflation t factors =
 let reset_inflation t =
   Array.iter (fun i -> t.normalizer.(i) <- t.base_normalizer.(i)) t.movable
 
-let create ?frozen ?soa (d : Design.t) ~grid ~target_density =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  of_soa ?frozen s ~grid ~target_density
+let create ?frozen (d : Design.t) ~grid ~target_density =
+  of_soa ?frozen (Soa.of_design d) ~grid ~target_density
 
 (* The hot kernels below inline their window walks directly — a closure
    callback taking float arguments (the old [iter_window] helper) boxes

@@ -19,22 +19,16 @@
 
 type t
 
-val create :
-  ?frozen:(int -> bool) ->
-  ?soa:Dpp_netlist.Soa.t ->
-  Dpp_netlist.Design.t ->
-  grid:Grid.t ->
-  target_density:float ->
-  t
-(** [frozen] excludes movable cells that a later flow phase treats as
-    obstacles (snapped group members); their area must then be subtracted
-    from the grid capacity by the caller.  [soa] supplies the flow's flat
-    view so the construction scan reads flat arrays; without it one is
-    derived on the spot. *)
-
 val of_soa :
   ?frozen:(int -> bool) -> Dpp_netlist.Soa.t -> grid:Grid.t -> target_density:float -> t
-(** {!create} directly over the flat core (no [Design.t] needed). *)
+(** [frozen] excludes movable cells that a later flow phase treats as
+    obstacles (snapped group members); their area must then be subtracted
+    from the grid capacity by the caller. *)
+
+val create :
+  ?frozen:(int -> bool) -> Dpp_netlist.Design.t -> grid:Grid.t -> target_density:float -> t
+(** [create d = of_soa (Soa.of_design d)] — for callers without a flat
+    view; callers that hold one use {!of_soa}. *)
 
 val grid : t -> Grid.t
 
@@ -78,9 +72,9 @@ val theta_deriv : r:float -> float -> float
     order.  That makes {!par_value} / {!par_value_grad} {e bit-stable
     across worker counts} (the chunk layout never depends on the pool
     size) but not bit-equal to the serial {!value} / {!value_grad}, whose
-    single accumulator sums in movable-cell order — which is why the flow
-    always routes through the [par] kernels once a pool exists, even with
-    one worker. *)
+    single accumulator sums in movable-cell order — which is why global
+    placement always routes through the [par] kernels, even with one
+    worker. *)
 
 type par
 

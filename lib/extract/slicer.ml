@@ -343,8 +343,7 @@ let assemble st =
     st.group_columns;
   List.rev !out
 
-let run (d : Design.t) cfg =
-  let h = Hypergraph.build d in
+let run_with ~hypergraph:h (d : Design.t) cfg =
   let nc = Netclass.classify d h ~max_data_degree:cfg.max_data_degree in
   let sg = Signature.compute d h nc ~iterations:cfg.refine_iterations in
   let lb = Labels.build d h nc sg in
@@ -370,3 +369,5 @@ let run (d : Design.t) cfg =
     seeds_chain = st.n_chain;
     columns_grown = st.n_grown;
   }
+
+let run d cfg = run_with ~hypergraph:(Hypergraph.build d) d cfg

@@ -310,15 +310,9 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb h skip bound (legal : Legal.t) 
     proposals;
   !gain, !moves
 
-let run (d : Design.t) ?(pool = Pool.serial) ?soa ?(max_passes = 3) ?(skip = fun _ -> false)
-    ?bound ?netbox ?hypergraph ~legal () =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  let nb =
-    match netbox with
-    | Some nb -> nb
-    | None -> Netbox.build (Pins.of_soa s) ~cx:legal.Legal.cx ~cy:legal.Legal.cy
-  in
-  let h = match hypergraph with Some h -> h | None -> Hypergraph.build d in
+let run (d : Design.t) ?(pool = Pool.serial) ?(max_passes = 3) ?(skip = fun _ -> false) ?bound
+    ~netbox:nb ~hypergraph:h ~legal () =
+  let s = (Netbox.pins nb).Pins.soa in
   let reorder_gain = ref 0.0 and swap_gain = ref 0.0 and moves = ref 0 in
   let pass = ref 0 in
   let improved = ref true in

@@ -35,12 +35,11 @@ type stats = {
 val run :
   Dpp_netlist.Design.t ->
   ?pool:Dpp_par.Pool.t ->
-  ?soa:Dpp_netlist.Soa.t ->
   ?max_passes:int ->
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
-  ?netbox:Dpp_wirelen.Netbox.t ->
-  ?hypergraph:Dpp_netlist.Hypergraph.t ->
+  netbox:Dpp_wirelen.Netbox.t ->
+  hypergraph:Dpp_netlist.Hypergraph.t ->
   legal:Legal.t ->
   unit ->
   stats
@@ -53,7 +52,7 @@ val run :
     and swap already stay put — they permute existing slots of non-skipped
     cells).
 
-    [netbox], when given, {e must} have been built over the [legal.cx] /
-    [legal.cy] arrays (the flow's shared context guarantees this); when
-    absent a private one is built.  [hypergraph] likewise avoids a rebuild
-    when the caller already has one. *)
+    [netbox] {e must} have been built over the [legal.cx] / [legal.cy]
+    arrays (the flow's shared context guarantees this); the passes read
+    the flat view inside its pin view.  [hypergraph] is the design's
+    cell<->net adjacency. *)

@@ -7,10 +7,8 @@ module Pool = Dpp_par.Pool
 
 type stats = { flips : int; gain : float; flipped : int list }
 
-let run (d : Design.t) ?(pool = Pool.serial) ?soa ?(skip = fun _ -> false) ?netbox ~cx ~cy
-    () =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  let nb = match netbox with Some nb -> nb | None -> Netbox.build (Pins.of_soa s) ~cx ~cy in
+let run (d : Design.t) ?(pool = Pool.serial) ?(skip = fun _ -> false) ~netbox:nb () =
+  let s = (Netbox.pins nb).Pins.soa in
   (* evaluate-parallel/commit-serial: workers score every candidate flip
      with the read-only {!Netbox.eval_flip} against the committed state;
      the serial phase re-checks each proposal transactionally in

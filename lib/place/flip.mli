@@ -19,20 +19,16 @@ type stats = {
 val run :
   Dpp_netlist.Design.t ->
   ?pool:Dpp_par.Pool.t ->
-  ?soa:Dpp_netlist.Soa.t ->
   ?skip:(int -> bool) ->
-  ?netbox:Dpp_wirelen.Netbox.t ->
-  cx:float array ->
-  cy:float array ->
+  netbox:Dpp_wirelen.Netbox.t ->
   unit ->
   stats
-(** Greedy single pass over all movable cells at the given placement
-    ([skip], used by incremental ECO re-placement, exempts cells — their
-    orientations must stay bit-identical to the base placement);
-    mutates [design.orient] (and the pin view's x-offsets) for accepted
-    flips.  Multi-row macros (RAMs) are skipped — their pin symmetry
-    assumptions do not hold.  [netbox], when given, must be live over
-    [cx]/[cy]; when absent a private one is built.  [pool] (default
+(** Greedy single pass over all movable cells at the placement [netbox]
+    is live over ([skip], used by incremental ECO re-placement, exempts
+    cells — their orientations must stay bit-identical to the base
+    placement); mutates [design.orient] (and the pin view's x-offsets)
+    for accepted flips.  Multi-row macros (RAMs) are skipped — their pin
+    symmetry assumptions do not hold.  [pool] (default
     {!Dpp_par.Pool.serial}) fans the candidate evaluation out over
     worker domains (read-only {!Dpp_wirelen.Netbox.eval_flip}); commits
     stay serial in ascending id order, so the flipped set is

@@ -26,7 +26,7 @@ type config = {
   beta : float;
   groups : Dgroup.t list;  (** soft groups: alignment penalty *)
   rigid_groups : Dgroup.t list;  (** rigid groups: one macro variable each *)
-  pool : Dpp_par.Pool.t option;  (** worker pool for the cost kernels *)
+  pool : Dpp_par.Pool.t;  (** worker pool for the cost kernels *)
   routability : bool;  (** congestion-driven placement (RUDY feedback) *)
   rt_interval : int;  (** rounds between RUDY evaluations *)
   rt_overflow : float;  (** bin demand/supply ratio treated as congested *)
@@ -47,7 +47,7 @@ let default_config =
     beta = 0.0;
     groups = [];
     rigid_groups = [];
-    pool = None;
+    pool = Dpp_par.Pool.serial;
     routability = false;
     rt_interval = 3;
     rt_overflow = 1.0;
@@ -86,7 +86,7 @@ type result = {
 
 let grad_l1 g = Array.fold_left (fun acc v -> acc +. abs_float v) 0.0 g
 
-let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = [])
+let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pins : Pins.t)
     (d : Design.t) cfg ~cx ~cy =
   let nc = Design.num_cells d in
   (* Arena-backed working buffers: [afloats]/[aints] are zero-filled
@@ -119,10 +119,7 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
   in
   let m = Array.length movable_free in
   let nvar = m + ng in
-  (* one flat-core derivation per level — or none at all when the caller
-     (the flow context) already owns the views for this design *)
-  let soa = match soa with Some s -> s | None -> Soa.of_design d in
-  let pins = match pins with Some p -> p | None -> Pins.of_soa soa in
+  let soa = pins.Pins.soa in
   let nx, ny = match cfg.grid with Some (nx, ny) -> nx, ny | None -> Grid.default_dims d in
   let grid = Grid.build ~extra_obstacles d ~nx ~ny in
   (* An unreachable density target makes lambda escalate until wirelength
@@ -139,34 +136,19 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
   in
   let util_eff = if total_cap > 0.0 then load_area /. total_cap else 1.0 in
   let target_density = min 1.0 (max cfg.target_density (util_eff +. 0.05)) in
-  let bell = Bell.create ~frozen ~soa d ~grid ~target_density in
-  (* Kernel selection: with a pool, wirelength goes through Par_grad
-     (bit-identical to the serial kernels) and density through the
-     chunk-merged Bell kernels (bit-stable across worker counts).  Both
-     are used even when the pool has one worker, so a flow's trajectory
-     depends only on whether a pool was supplied — never on its size. *)
-  let par = Option.map (fun pool -> Par_grad.create pool pins) cfg.pool in
-  let bell_par = Option.map (fun _ -> Bell.par_create bell) cfg.pool in
-  let model_value ~gamma ~cx ~cy =
-    match cfg.pool, par with
-    | Some pool, Some pg -> Par_grad.value pg pool cfg.model ~gamma ~cx ~cy
-    | _ -> Model.value cfg.model pins ~gamma ~cx ~cy
-  in
+  let bell = Bell.of_soa ~frozen soa ~grid ~target_density in
+  (* Wirelength goes through Par_grad (bit-identical to the serial
+     kernels) and density through the chunk-merged Bell kernels
+     (bit-stable across worker counts), even when the pool has one
+     worker, so the trajectory never depends on the pool size. *)
+  let par = Par_grad.create cfg.pool pins in
+  let bell_par = Bell.par_create bell in
+  let model_value ~gamma ~cx ~cy = Par_grad.value par cfg.pool cfg.model ~gamma ~cx ~cy in
   let model_value_grad ~gamma ~cx ~cy ~gx ~gy =
-    match cfg.pool, par with
-    | Some pool, Some pg -> Par_grad.value_grad pg pool cfg.model ~gamma ~cx ~cy ~gx ~gy
-    | _ -> Model.value_grad cfg.model pins ~gamma ~cx ~cy ~gx ~gy
+    Par_grad.value_grad par cfg.pool cfg.model ~gamma ~cx ~cy ~gx ~gy
   in
-  let bell_value ~cx ~cy =
-    match cfg.pool, bell_par with
-    | Some pool, Some bp -> Bell.par_value bp pool ~cx ~cy
-    | _ -> Bell.value bell ~cx ~cy
-  in
-  let bell_value_grad ~cx ~cy ~gx ~gy =
-    match cfg.pool, bell_par with
-    | Some pool, Some bp -> Bell.par_value_grad bp pool ~cx ~cy ~gx ~gy
-    | _ -> Bell.value_grad bell ~cx ~cy ~gx ~gy
-  in
+  let bell_value ~cx ~cy = Bell.par_value bell_par cfg.pool ~cx ~cy in
+  let bell_value_grad ~cx ~cy ~gx ~gy = Bell.par_value_grad bell_par cfg.pool ~cx ~cy ~gx ~gy in
   (* ----- routability state (RUDY feedback) -----
 
      Every [rt_interval] rounds the RUDY map is evaluated over the current
@@ -472,7 +454,7 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
   in
   (* post-solve RUDY measurement — every round when routability is on *)
   let rt_measure () =
-    let r = Rudy.compute ?pool:cfg.pool ?arena ~pins d ~cx:wx ~cy:wy in
+    let r = Rudy.compute ~pool:cfg.pool ?arena ~pins d ~cx:wx ~cy:wy in
     r, Rudy.stats r
   in
   (* steering: refresh the fixed congestion field, update the inflation
@@ -687,10 +669,10 @@ let coarse_config cfg =
    cold start — this is where the multilevel speedup comes from. *)
 let refine_config cfg = { cfg with rounds = min cfg.rounds (max 4 (cfg.rounds / 3)) }
 
-let run_multilevel ?arena ?soa ?pins ?on_round ?on_level (d : Design.t) cfg
+let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
     ~(levels : Dpp_coarsen.level list) ~cx ~cy =
   match levels with
-  | [] -> { result = run ?arena ?soa ?pins ?on_round d cfg ~cx ~cy; level_trace = [] }
+  | [] -> { result = run ?arena ?on_round ~pins d cfg ~cx ~cy; level_trace = [] }
   | levels ->
     let larr = Array.of_list levels in
     let nl = Array.length larr in
@@ -710,7 +692,8 @@ let run_multilevel ?arena ?soa ?pins ?on_round ?on_level (d : Design.t) cfg
       let name = Printf.sprintf "L%d" (k + 1) in
       let r =
         Dpp_util.Timer.time timer name (fun () ->
-            run lvl.Dpp_coarsen.coarse (coarse_config cfg) ~cx:ccx ~cy:ccy)
+            let coarse = lvl.Dpp_coarsen.coarse in
+            run ~pins:(Pins.build coarse) coarse (coarse_config cfg) ~cx:ccx ~cy:ccy)
       in
       let info =
         {
@@ -731,5 +714,5 @@ let run_multilevel ?arena ?soa ?pins ?on_round ?on_level (d : Design.t) cfg
     (* only the flat refinement shares the arena: the coarse levels all
        have different sizes, so recycling across them would just thrash
        the buffers (their views are also per-level by construction) *)
-    let r = run ?arena ?soa ?pins ?on_round d (refine_config cfg) ~cx:fcx ~cy:fcy in
+    let r = run ?arena ?on_round ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
     { result = r; level_trace = !trace }

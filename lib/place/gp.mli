@@ -32,14 +32,12 @@ type config = {
           sit at exact array offsets from one movable origin, wirelength
           and density gradients summing onto that origin.  The primary
           structure-aware mode; [groups]+[beta] is the soft ablation. *)
-  pool : Dpp_par.Pool.t option;
-      (** worker pool for the wirelength/density kernels.  [None] (the
-          default) keeps the original serial code path bit-for-bit.  With
-          a pool — of {e any} size, including one worker — wirelength uses
-          {!Dpp_wirelen.Par_grad} (bit-identical to serial) and density
-          the chunk-merged {!Dpp_density.Bell} kernels (bit-stable across
-          worker counts), so the trajectory is the same at every [jobs]
-          value. *)
+  pool : Dpp_par.Pool.t;
+      (** worker pool for the wirelength/density kernels; default
+          {!Dpp_par.Pool.serial}.  Wirelength uses {!Dpp_wirelen.Par_grad}
+          (bit-identical to serial) and density the chunk-merged
+          {!Dpp_density.Bell} kernels (bit-stable across worker counts),
+          so the trajectory is the same at every [jobs] value. *)
   routability : bool;
       (** congestion-driven placement: every round the {!Dpp_congest.Rudy}
           map is measured over the current coordinates (sharing the flow's
@@ -107,11 +105,10 @@ type result = {
 
 val run :
   ?arena:Dpp_util.Arena.t ->
-  ?soa:Dpp_netlist.Soa.t ->
-  ?pins:Dpp_wirelen.Pins.t ->
   ?on_round:(round_info -> unit) ->
   ?frozen:(int -> bool) ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
+  pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->
   cx:float array ->
@@ -120,8 +117,8 @@ val run :
 (** [cx]/[cy] provide the start (typically {!Qp.run} output); they are not
     modified.
 
-    [soa]/[pins] reuse the caller's flat views of [d] (the flow passes
-    its context's) instead of re-deriving them.  [arena] recycles the
+    [pins] is the pin view of [d] (the flow passes its context's); the
+    kernels scan the flat view inside it.  [arena] recycles the
     working buffers — gradient banks, NLCG vectors, RUDY grids — so the
     round loop does no steady-state allocation; the result's [cx]/[cy]
     then live in the arena and stay valid only until the next [run]
@@ -141,10 +138,9 @@ type ml_result = { result : result; level_trace : level_info list }
 
 val run_multilevel :
   ?arena:Dpp_util.Arena.t ->
-  ?soa:Dpp_netlist.Soa.t ->
-  ?pins:Dpp_wirelen.Pins.t ->
   ?on_round:(round_info -> unit) ->
   ?on_level:(level_info -> unit) ->
+  pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->
   levels:Dpp_coarsen.level list ->
@@ -157,8 +153,9 @@ val run_multilevel :
     iterations, loosened overflow target, per-level density grids, no
     group machinery — group clusters are single cells there), interpolate
     cluster centers down (group slices re-seeded in bit order), and
-    finish with a short flat refinement of the full config on [d].
-    With [levels = []] this is exactly {!run}.  [routability] stays in
+    finish with a short flat refinement of the full config on [d] over
+    [pins].  Each coarse level derives its own pin view, since it is a
+    different design.  With [levels = []] this is exactly {!run}.  [routability] stays in
     force at every level: each per-level solve re-derives its inflation
     and congestion field from its own coarse netlist's RUDY map and
     closes its ledger before interpolation, so only coordinates cross
@@ -167,5 +164,5 @@ val run_multilevel :
     observes the flat refinement only; [on_level] fires after each coarse solve,
     coarsest first.  [level_trace] lists levels in ascending order
     (finest coarse level first).  Deterministic under the same contract
-    as {!run}: the trajectory depends on the config, the hierarchy and
-    whether a pool was supplied — never on the pool size. *)
+    as {!run}: the trajectory depends on the config and the hierarchy —
+    never on the pool size. *)

@@ -70,9 +70,8 @@ let row_segments_for_test = row_segments
    cursor, so it only fails when the die is genuinely overfull.  Within
    a row set, the search expands outward from the target row and stops
    once the vertical displacement alone exceeds the best cost found. *)
-let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
-    ?(skip = fun _ -> false) ?bound ~cx ~cy () =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
+let run (d : Design.t) ?(pool = Pool.serial) ?arena ?(extra_obstacles = [])
+    ?(skip = fun _ -> false) ?bound ~soa:(s : Soa.t) ~cx ~cy () =
   let nc = Soa.num_cells s in
   let nrows = d.Design.num_rows in
   let rh = d.Design.row_height in

@@ -24,10 +24,10 @@ val run :
   Dpp_netlist.Design.t ->
   ?pool:Dpp_par.Pool.t ->
   ?arena:Dpp_util.Arena.t ->
-  ?soa:Dpp_netlist.Soa.t ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
+  soa:Dpp_netlist.Soa.t ->
   cx:float array ->
   cy:float array ->
   unit ->
@@ -35,9 +35,9 @@ val run :
 (** [skip] marks cells to leave untouched (snapped group members).  Input
     arrays are not modified.  [pool] (default {!Dpp_par.Pool.serial})
     fans the chunk-local phase out over worker domains; the result does
-    not depend on the worker count.  [soa] supplies the flow's flat view
-    so the sort keys and interval widths come from flat arrays; without
-    it one is derived on the spot.  [arena] recycles the per-row
+    not depend on the worker count.  [soa] is the flat view of the
+    design the sort keys and interval widths are read from.  [arena]
+    recycles the per-row
     free-interval stores across runs (every store is reset before use,
     so the result is bit-identical with or without one).
 

@@ -22,8 +22,7 @@ let num_rows t = Array.length t.lens
 
 let row_entries t r = List.init t.lens.(r) (fun k -> t.xls.(r).(k), t.xhs.(r).(k), t.cells.(r).(k))
 
-let build ?soa (d : Design.t) ~cx ~cy =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
+let build ~soa:(s : Soa.t) (d : Design.t) ~cx ~cy =
   let nrows = d.Design.num_rows in
   let rows = Array.make nrows [] in
   for i = Soa.num_cells s - 1 downto 0 do

@@ -10,11 +10,10 @@
 type t
 
 val build :
-  ?soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> cx:float array -> cy:float array -> t
+  soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> cx:float array -> cy:float array -> t
 (** Index every movable cell (tall cells appear in each spanned row) and
-    every fixed cell clipped to its rows; pads are ignored.  [soa]
-    supplies the flow's flat view (widths/heights/kinds are read from
-    flat arrays); without it one is derived on the spot. *)
+    every fixed cell clipped to its rows; pads are ignored.  Widths,
+    heights and kinds are read from [soa], the design's flat view. *)
 
 val num_rows : t -> int
 

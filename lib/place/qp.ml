@@ -7,7 +7,7 @@ module Rng = Dpp_util.Rng
 
 type result = { cx : float array; cy : float array; iterations_x : int; iterations_y : int }
 
-let run ?(seed = 1) (d : Design.t) =
+let run_with ~seed ~hypergraph:h (d : Design.t) =
   let nc = Design.num_cells d in
   let movable = Design.movable_ids d in
   let m = Array.length movable in
@@ -36,7 +36,6 @@ let run ?(seed = 1) (d : Design.t) =
         by.(vv) <- by.(vv) +. (w *. cy.(u))
       | false, false -> ()
     in
-    let h = Dpp_netlist.Hypergraph.build d in
     for n = 0 to Design.num_nets d - 1 do
       let cells = Dpp_netlist.Hypergraph.cells_of_net h n in
       let k = Array.length cells in
@@ -84,3 +83,5 @@ let run ?(seed = 1) (d : Design.t) =
     { cx; cy; iterations_x = st_x.Pcg.iterations; iterations_y = st_y.Pcg.iterations }
   end
   else { cx; cy; iterations_x = 0; iterations_y = 0 }
+
+let run ?(seed = 1) d = run_with ~seed ~hypergraph:(Dpp_netlist.Hypergraph.build d) d

@@ -63,7 +63,11 @@ type stage = {
       (** unknown per-stage fields, preserved verbatim so the schema can
           evolve: a producer may attach new keys (the serve layer's event
           stream does) and [to_json (stage_of_json s)] round-trips them
-          instead of erroring.  Empty for stages built by the flow. *)
+          instead of erroring.  The flow attaches the Gc deltas
+          [gc_minor_mwords]/[gc_major_mwords]/[gc_majors] to every stage,
+          [legal_failed] (cells that fit in no row) to legal,
+          [rt_rounds]/[rt_best_ace] to a steered gp stage and
+          [steiner]/[rudy_max]/[rudy_ace] to metrics. *)
 }
 
 type t = { design : string; mode : string; total_s : float; stages : stage list }

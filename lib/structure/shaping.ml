@@ -2,7 +2,6 @@ module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
 module Rect = Dpp_geom.Rect
 module Hypergraph = Dpp_netlist.Hypergraph
-module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
 
 type placed = { dgroup : Dgroup.t; origin_x : float; origin_y : float; rect : Rect.t }
@@ -99,11 +98,10 @@ let candidates (d : Design.t) (dg : Dgroup.t) ox oy obstacles ~max_radius ~max_c
   done;
   List.rev !found
 
-let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) (d : Design.t) dgs ~cx ~cy =
+let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) ~pins ~hypergraph:h (d : Design.t)
+    dgs ~cx ~cy =
   let die_area = Rect.area d.Design.die in
   let fixed = extra_obstacles @ fixed_rects d in
-  let pins = Pins.build d in
-  let h = Hypergraph.build d in
   let order =
     List.sort
       (fun a b -> compare (Array.length b.Dgroup.cells) (Array.length a.Dgroup.cells))

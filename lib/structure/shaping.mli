@@ -27,13 +27,17 @@ type placed = {
 val snap :
   ?max_die_fraction:float ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
+  pins:Dpp_wirelen.Pins.t ->
+  hypergraph:Dpp_netlist.Hypergraph.t ->
   Dpp_netlist.Design.t ->
   Dgroup.t list ->
   cx:float array ->
   cy:float array ->
   placed list
 (** [max_die_fraction] defaults to 0.25; [extra_obstacles] are additional
-    keep-out rectangles (e.g. already-snapped movable macros). *)
+    keep-out rectangles (e.g. already-snapped movable macros).  [pins] and
+    [hypergraph] are the design's views, used to score candidate spots by
+    the HPWL of each group's incident nets. *)
 
 val apply : placed -> cx:float array -> cy:float array -> unit
 (** Write the members' snapped center positions into the coordinate

@@ -24,7 +24,8 @@ let of_soa (s : Soa.t) =
   for p = 0 to np - 1 do
     let ci = I32.uget s.Soa.pin_cell p in
     (* offsets respect the cell's orientation at build time (orientation is
-       constant during an optimization phase; the flip pass rebuilds) *)
+       constant during an optimization phase; the flip pass mirrors them
+       in place) *)
     let dx, dy =
       Dpp_geom.Orient.apply_offset s.Soa.orient.(ci) ~w:s.Soa.width.(ci) ~h:s.Soa.height.(ci)
         (F64.uget s.Soa.pin_dx p, F64.uget s.Soa.pin_dy p)

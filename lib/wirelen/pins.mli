@@ -3,9 +3,10 @@
     Global placement treats every cell as its center point plus fixed pin
     offsets, evaluated at the orientation each cell has when the structure
     is built (orientations are constant within an optimization phase; the
-    flip pass rebuilds).  This caches, per pin, the offset of the pin from
-    its cell center, and carries the flat {!Dpp_netlist.Soa} view the hot
-    kernels iterate — model evaluation never touches the cell records. *)
+    flip pass mirrors the offsets in place).  This caches, per pin, the
+    offset of the pin from its cell center, and carries the flat
+    {!Dpp_netlist.Soa} view the hot kernels iterate — model evaluation
+    never touches the cell records. *)
 
 type t = {
   soa : Dpp_netlist.Soa.t;  (** the flat netlist view the kernels scan *)

@@ -94,7 +94,7 @@ let test_legalizer_idempotent () =
   let r = Lazy.force placed in
   let d = r.Flow.design in
   let cx, cy = final_coords r in
-  let legal = Legal.run d ~cx ~cy () in
+  let legal = Legal.run d ~soa:(Dpp_netlist.Soa.of_design d) ~cx ~cy () in
   Alcotest.(check (list string)) "no cell failed to fit" []
     (List.map string_of_int legal.Legal.failed);
   Abacus.run d ~target_cx:cx ~legal ();

@@ -7,6 +7,7 @@ module Rect = Dpp_geom.Rect
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
 module Pins = Dpp_wirelen.Pins
+module Hypergraph = Dpp_netlist.Hypergraph
 module Dgroup = Dpp_structure.Dgroup
 module Coarsen = Dpp_coarsen
 module Gp = Dpp_place.Gp
@@ -25,7 +26,8 @@ let dgroups_of d =
   Dgroup.build_all_ordered d d.Design.groups ~cx ~cy
 
 let build_levels ?(seed = 7) d =
-  Coarsen.build ~groups:(dgroups_of d) ~min_cells:100 ~max_levels:3 ~seed d
+  Coarsen.build ~groups:(dgroups_of d) ~min_cells:100 ~max_levels:3 ~seed
+    ~hypergraph:(Hypergraph.build d) d
 
 let test_levels_pass_integrity_oracle () =
   let d = scaled_design 21 in
@@ -87,7 +89,9 @@ let test_build_deterministic () =
 
 let test_reduction_without_groups () =
   let d = scaled_design 24 in
-  let levels = Coarsen.build ~min_cells:100 ~max_levels:3 ~seed:5 d in
+  let levels =
+    Coarsen.build ~min_cells:100 ~max_levels:3 ~seed:5 ~hypergraph:(Hypergraph.build d) d
+  in
   Alcotest.(check bool) "levels exist" true (levels <> []);
   List.iter
     (fun (lvl : Coarsen.level) ->
@@ -101,7 +105,7 @@ let test_reduction_without_groups () =
     levels;
   (* below the floor no hierarchy is built *)
   Alcotest.(check (list reject)) "tiny design yields no levels" []
-    (Coarsen.build ~min_cells:100_000 ~seed:5 d)
+    (Coarsen.build ~min_cells:100_000 ~seed:5 ~hypergraph:(Hypergraph.build d) d)
 
 let test_interpolate_group_offsets () =
   let d = scaled_design 25 in
@@ -139,7 +143,7 @@ let gp_config = { Gp.default_config with Gp.rounds = 12; inner_iters = 25 }
 let test_gp_overflow_trend () =
   let d = scaled_design ~cells:600 26 in
   let qp = Qp.run ~seed:1 d in
-  let r = Gp.run d gp_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let r = Gp.run ~pins:(Pins.build d) d gp_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let ovs = List.map (fun (ri : Gp.round_info) -> ri.Gp.overflow) r.Gp.trace in
   (match ovs with
   | first :: _ :: _ ->
@@ -160,12 +164,16 @@ let test_gp_overflow_trend () =
 
 let test_multilevel_vs_flat_hpwl () =
   let d = scaled_design ~cells:800 27 in
-  let levels = Coarsen.build ~groups:(dgroups_of d) ~min_cells:150 ~max_levels:2 ~seed:9 d in
+  let levels =
+    Coarsen.build ~groups:(dgroups_of d) ~min_cells:150 ~max_levels:2 ~seed:9
+      ~hypergraph:(Hypergraph.build d) d
+  in
   Alcotest.(check bool) "hierarchy engaged" true (levels <> []);
   let qp = Qp.run ~seed:1 d in
-  let flat = Gp.run d gp_config ~cx:(Array.copy qp.Qp.cx) ~cy:(Array.copy qp.Qp.cy) in
+  let pins = Pins.build d in
+  let flat = Gp.run ~pins d gp_config ~cx:(Array.copy qp.Qp.cx) ~cy:(Array.copy qp.Qp.cy) in
   let ml =
-    Gp.run_multilevel d gp_config ~levels ~cx:(Array.copy qp.Qp.cx)
+    Gp.run_multilevel ~pins d gp_config ~levels ~cx:(Array.copy qp.Qp.cx)
       ~cy:(Array.copy qp.Qp.cy)
   in
   let ratio = ml.Gp.result.Gp.final_hpwl /. flat.Gp.final_hpwl in
@@ -182,11 +190,12 @@ let test_disconnected_falls_back_flat () =
      must return [] — the flat-GP fallback — instead of coarsening dust *)
   let pk, _ = Dpp_gen.Peko.build ~name:"peko_cc" ~cells:4000 () in
   Alcotest.(check int) "flat fallback on disconnected design" 0
-    (List.length (Coarsen.build ~min_cells:500 ~seed:3 pk));
+    (List.length (Coarsen.build ~min_cells:500 ~seed:3 ~hypergraph:(Hypergraph.build pk) pk));
   (* a connected design of the same scale still coarsens *)
   let d = scaled_design ~cells:900 31 in
   Alcotest.(check bool) "connected design still builds levels" true
-    (Coarsen.build ~min_cells:150 ~max_levels:2 ~seed:3 d <> [])
+    (Coarsen.build ~min_cells:150 ~max_levels:2 ~seed:3 ~hypergraph:(Hypergraph.build d) d
+    <> [])
 
 let suite =
   [

@@ -27,7 +27,7 @@ let test_rudy_mass () =
      density (w+h)/(w*h) times box area w*h = w + h (the half-perimeter) *)
   let d = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build d) ~nx:10 ~ny:10 d ~cx ~cy in
   let total =
     Array.fold_left ( +. ) 0.0 r.Rudy.demand *. r.Rudy.bin_w *. r.Rudy.bin_h
   in
@@ -37,7 +37,7 @@ let test_rudy_mass () =
 let test_rudy_localized () =
   let d = net_design 10.0 20.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build d) ~nx:10 ~ny:10 d ~cx ~cy in
   (* all demand inside the net's bbox rows: y in [44,46] -> bin row 4 *)
   for iy = 0 to 9 do
     for ix = 0 to 9 do
@@ -49,7 +49,7 @@ let test_rudy_localized () =
 let test_rudy_stats () =
   let d = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build d) ~nx:10 ~ny:10 d ~cx ~cy in
   let s = Rudy.stats r in
   Alcotest.(check bool) "max >= p95 >= avg" true
     (s.Rudy.max_ratio >= s.Rudy.p95_ratio && s.Rudy.p95_ratio >= s.Rudy.avg_ratio);
@@ -59,7 +59,7 @@ let test_rudy_stats () =
 let test_rudy_hotspots () =
   let d = net_design 10.0 15.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build d) ~nx:10 ~ny:10 d ~cx ~cy in
   match Rudy.hotspots r ~count:3 with
   | (ix, iy, ratio) :: _ ->
     Alcotest.(check bool) "hottest is where the net is" true (iy = 4 && ix <= 2);
@@ -72,12 +72,15 @@ let test_rudy_placement_sensitivity () =
      shorter-wirelength placement must have lower average demand *)
   let d = Dpp_gen.Compose.build (List.nth Dpp_gen.Presets.suite 4) in
   let qp = Dpp_place.Qp.run ~seed:1 d in
-  let gp = Dpp_place.Gp.run d Dpp_place.Gp.default_config ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
   let pins = Pins.build d in
+  let gp =
+    Dpp_place.Gp.run ~pins d Dpp_place.Gp.default_config ~cx:qp.Dpp_place.Qp.cx
+      ~cy:qp.Dpp_place.Qp.cy
+  in
   let hp_qp = Dpp_wirelen.Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
   let hp_gp = Dpp_wirelen.Hpwl.total pins ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy in
-  let s_qp = Rudy.stats (Rudy.compute ~nx:16 ~ny:16 d ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy) in
-  let s_gp = Rudy.stats (Rudy.compute ~nx:16 ~ny:16 d ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy) in
+  let s_qp = Rudy.stats (Rudy.compute ~pins ~nx:16 ~ny:16 d ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy) in
+  let s_gp = Rudy.stats (Rudy.compute ~pins ~nx:16 ~ny:16 d ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy) in
   let ordered = (hp_qp <= hp_gp) = (s_qp.Rudy.avg_ratio <= s_gp.Rudy.avg_ratio +. 1e-6) in
   Alcotest.(check bool) "average demand tracks wirelength" true ordered
 
@@ -88,7 +91,7 @@ let test_rudy_mass_grid_invariant () =
   let cx, cy = Pins.centers_of_design d in
   List.iter
     (fun (nx, ny) ->
-      let r = Rudy.compute ~nx ~ny d ~cx ~cy in
+      let r = Rudy.compute ~pins:(Pins.build d) ~nx ~ny d ~cx ~cy in
       let total =
         Array.fold_left ( +. ) 0.0 r.Rudy.demand *. r.Rudy.bin_w *. r.Rudy.bin_h
       in
@@ -101,10 +104,11 @@ let test_rudy_translation_invariance () =
   let d = net_design 10.0 30.0 in
   let cx, cy = Pins.centers_of_design d in
   let nx = 10 and ny = 10 in
-  let r1 = Rudy.compute ~nx ~ny d ~cx ~cy in
+  let pins = Pins.build d in
+  let r1 = Rudy.compute ~pins ~nx ~ny d ~cx ~cy in
   let sx = 2.0 *. r1.Rudy.bin_w and sy = 3.0 *. r1.Rudy.bin_h in
   let r2 =
-    Rudy.compute ~nx ~ny d
+    Rudy.compute ~pins ~nx ~ny d
       ~cx:(Array.map (fun x -> x +. sx) cx)
       ~cy:(Array.map (fun y -> y +. sy) cy)
   in
@@ -122,12 +126,13 @@ let test_rudy_pooled_equivalence () =
      and agrees with the serial scatter to rounding *)
   let d = Dpp_gen.Channel.build ~pairs:40 () in
   let cx, cy = Pins.centers_of_design d in
-  let serial = Rudy.compute ~nx:16 ~ny:16 d ~cx ~cy in
+  let pins = Pins.build d in
+  let serial = Rudy.compute ~pins ~nx:16 ~ny:16 d ~cx ~cy in
   let pooled =
     List.map
       (fun w ->
         Dpp_par.Pool.with_pool ~nworkers:w @@ fun pool ->
-        (Rudy.compute ~pool ~nx:16 ~ny:16 d ~cx ~cy).Rudy.demand)
+        (Rudy.compute ~pool ~pins ~nx:16 ~ny:16 d ~cx ~cy).Rudy.demand)
       [ 1; 2; 4; 8 ]
   in
   let base = List.hd pooled in
@@ -168,7 +173,7 @@ let test_rudy_two_net_fixture () =
   ignore (Builder.add_net b ~weight:2.0 [ p0'; p2 ]);
   let d = Builder.finish b in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build d) ~nx:10 ~ny:10 d ~cx ~cy in
   let da = 1.0 *. (50.0 +. 1.0) /. (50.0 *. 1.0) in
   let db = 2.0 *. (1.0 +. 30.0) /. (1.0 *. 30.0) in
   let at ix iy = r.Rudy.demand.((iy * 10) + ix) in
@@ -190,14 +195,14 @@ let test_rudy_degenerate_grids () =
      zero-extent die falls back to unit bins — both stay finite *)
   let d = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:0 ~ny:(-3) d ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build d) ~nx:0 ~ny:(-3) d ~cx ~cy in
   Alcotest.(check int) "collapsed nx" 1 r.Rudy.nx;
   Alcotest.(check int) "collapsed ny" 1 r.Rudy.ny;
   check_float "single-bin volume" 51.0 (r.Rudy.demand.(0) *. r.Rudy.bin_w *. r.Rudy.bin_h);
   let flat =
     { d with Dpp_netlist.Design.die = Rect.make ~xl:0.0 ~yl:40.0 ~xh:100.0 ~yh:40.0 }
   in
-  let r = Rudy.compute ~nx:10 ~ny:10 flat ~cx ~cy in
+  let r = Rudy.compute ~pins:(Pins.build flat) ~nx:10 ~ny:10 flat ~cx ~cy in
   check_float "zero-height die: unit bin" 1.0 r.Rudy.bin_h;
   Array.iter
     (fun v ->
@@ -211,13 +216,13 @@ let test_rudy_degenerate_grids () =
 let test_rudy_weight_scales () =
   let d1 = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d1 in
-  let r1 = Rudy.compute ~nx:10 ~ny:10 d1 ~cx ~cy in
+  let r1 = Rudy.compute ~pins:(Pins.build d1) ~nx:10 ~ny:10 d1 ~cx ~cy in
   (* double the net weight: total demand doubles *)
   let nets =
     Array.map (fun (n : Types.net) -> { n with Types.n_weight = 2.0 }) d1.Dpp_netlist.Design.nets
   in
   let d2 = { d1 with Dpp_netlist.Design.nets } in
-  let r2 = Rudy.compute ~nx:10 ~ny:10 d2 ~cx ~cy in
+  let r2 = Rudy.compute ~pins:(Pins.build d2) ~nx:10 ~ny:10 d2 ~cx ~cy in
   let tot r = Array.fold_left ( +. ) 0.0 r.Rudy.demand in
   check_float "weight scales demand" (2.0 *. tot r1) (tot r2)
 

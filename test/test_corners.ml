@@ -140,7 +140,8 @@ let test_flip_noop_on_symmetric_pins () =
   Builder.set_position b c1 ~x:40.0 ~y:0.0;
   let d = Builder.finish b in
   let cx, cy = Dpp_wirelen.Pins.centers_of_design d in
-  let stats = Dpp_place.Flip.run d ~cx ~cy () in
+  let netbox = Dpp_wirelen.Netbox.build (Dpp_wirelen.Pins.build d) ~cx ~cy in
+  let stats = Dpp_place.Flip.run d ~netbox () in
   Alcotest.(check int) "no flips" 0 stats.Dpp_place.Flip.flips;
   Alcotest.(check bool) "orientation unchanged" true
     (d.Design.orient.(c0) = Dpp_geom.Orient.N)

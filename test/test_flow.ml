@@ -9,7 +9,10 @@ module Pins = Dpp_wirelen.Pins
 module Legality = Dpp_place.Legality
 module Config = Dpp_core.Config
 module Flow = Dpp_core.Flow
+module Ctx = Dpp_core.Ctx
 module Compose = Dpp_gen.Compose
+module Trace = Dpp_report.Trace
+module Json = Dpp_report.Json
 
 let flow_design () =
   Compose.build
@@ -91,11 +94,13 @@ let test_flow_invalid_design_raises () =
 let test_flow_times_recorded () =
   let d = flow_design () in
   let r = Flow.run d small_cfg in
-  let stage s = List.mem_assoc s r.Flow.times in
+  let stage s = List.exists (fun (t : Trace.stage) -> t.Trace.name = s) r.Flow.stage_trace in
   Alcotest.(check bool) "stages timed" true
     (stage "extract" && stage "init" && stage "gp" && stage "legal" && stage "detail");
-  Alcotest.(check bool) "total covers stages" true
-    (r.Flow.total_time >= List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Flow.times -. 1e-6)
+  let staged =
+    List.fold_left (fun acc (t : Trace.stage) -> acc +. t.Trace.wall_s) 0.0 r.Flow.stage_trace
+  in
+  Alcotest.(check bool) "total covers stages" true (r.Flow.total_time >= staged -. 1e-6)
 
 let test_flow_run_both_modes_differ () =
   let d = flow_design () in
@@ -125,6 +130,51 @@ let test_flow_no_groups_ties_baseline () =
     Alcotest.(check bool) "sane ratio" true
       (sa.Flow.hpwl_final /. base.Flow.hpwl_final < 1.3)
 
+(* [stages] with a probe spliced in right after the named stage: it reads
+   the context as that stage left it. *)
+let probe_after name probe stages =
+  List.concat_map
+    (fun (s : Flow.stage) ->
+      if s.Flow.name = name then
+        [ s; { Flow.name = "probe-" ^ name; run = (fun ctx -> probe ctx; ctx) } ]
+      else [ s ])
+    stages
+
+(* The Design-only wrappers derive the hypergraph themselves; the flow's
+   stages use the context's.  Both must compute the same thing. *)
+let test_wrappers_agree_with_flow () =
+  let d = Compose.build (Option.get (Dpp_gen.Presets.by_name "dp_add32")) in
+  let cfg = Config.structure_aware in
+  let groups = ref [] and centres = ref ([||], [||]) in
+  let stages =
+    Flow.stages cfg
+    |> probe_after "extract" (fun ctx ->
+           groups := (fst (Option.get ctx.Ctx.extraction)).Dpp_extract.Slicer.groups)
+    |> probe_after "init" (fun ctx -> centres := Array.copy ctx.Ctx.cx, Array.copy ctx.Ctx.cy)
+  in
+  ignore (Flow.run_stages ~stages d cfg);
+  Alcotest.(check bool) "extraction found groups" true (!groups <> []);
+  Alcotest.(check bool) "Slicer.run returns the extract stage's groups" true
+    ((Dpp_extract.Slicer.run d cfg.Config.extract).Dpp_extract.Slicer.groups = !groups);
+  let qp = Dpp_place.Qp.run ~seed:cfg.Config.seed d in
+  let cx, cy = !centres in
+  Alcotest.(check bool) "Qp.run returns the init stage's centres" true
+    (Array.for_all2 Float.equal qp.Dpp_place.Qp.cx cx
+    && Array.for_all2 Float.equal qp.Dpp_place.Qp.cy cy)
+
+let test_legal_failed_traced () =
+  let d = flow_design () in
+  let failed = ref (-1) in
+  let stages =
+    Flow.stages small_cfg
+    |> probe_after "legal" (fun ctx ->
+           failed := List.length (Option.get ctx.Ctx.legal).Dpp_place.Legal.failed)
+  in
+  let r = Flow.run_stages ~stages d small_cfg in
+  let legal = List.find (fun (t : Trace.stage) -> t.Trace.name = "legal") r.Flow.stage_trace in
+  Alcotest.(check bool) "legal_failed matches the legalizer's count" true
+    (List.assoc_opt "legal_failed" legal.Trace.extra = Some (Json.Num (float_of_int !failed)))
+
 let suite =
   [
     Alcotest.test_case "baseline legal" `Slow test_flow_baseline_legal;
@@ -137,4 +187,6 @@ let suite =
     Alcotest.test_case "times recorded" `Slow test_flow_times_recorded;
     Alcotest.test_case "run_both" `Slow test_flow_run_both_modes_differ;
     Alcotest.test_case "no-group tie" `Slow test_flow_no_groups_ties_baseline;
+    Alcotest.test_case "wrappers agree with flow" `Slow test_wrappers_agree_with_flow;
+    Alcotest.test_case "legal failed count traced" `Slow test_legal_failed_traced;
   ]

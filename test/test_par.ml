@@ -219,16 +219,17 @@ let test_bell_worker_count_independent () =
 let test_rudy_worker_count_independent () =
   List.iter
     (fun (dname, d) ->
+      let pins = Pins.build d in
       let cx, cy = Pins.centers_of_design d in
-      let r1 = Pool.with_pool ~nworkers:1 (fun pool -> Rudy.compute ~pool d ~cx ~cy) in
+      let r1 = Pool.with_pool ~nworkers:1 (fun pool -> Rudy.compute ~pool ~pins d ~cx ~cy) in
       List.iter
         (fun w ->
-          let rw = Pool.with_pool ~nworkers:w (fun pool -> Rudy.compute ~pool d ~cx ~cy) in
+          let rw = Pool.with_pool ~nworkers:w (fun pool -> Rudy.compute ~pool ~pins d ~cx ~cy) in
           Alcotest.(check int) (dname ^ " nx") r1.Rudy.nx rw.Rudy.nx;
           Alcotest.(check int) (dname ^ " ny") r1.Rudy.ny rw.Rudy.ny;
           check_bits (Printf.sprintf "%s w=%d demand" dname w) r1.Rudy.demand rw.Rudy.demand)
         worker_counts;
-      let serial = Rudy.compute d ~cx ~cy in
+      let serial = Rudy.compute ~pins d ~cx ~cy in
       Array.iteri
         (fun i v ->
           if not (abs_float (v -. serial.Rudy.demand.(i)) <= 1e-9 *. (1.0 +. abs_float v))
@@ -328,14 +329,12 @@ let test_backend_stages_worker_count_independent () =
     let cx = Array.init nc (fun i -> Design.cell_center_x d i) in
     let cy = Array.init nc (fun i -> Design.cell_center_y d i) in
     Pool.with_pool ~nworkers:w @@ fun pool ->
-    let legal = Dpp_place.Legal.run d ~pool ~cx ~cy () in
+    let pins = Pins.build d in
+    let legal = Dpp_place.Legal.run d ~pool ~soa:pins.Pins.soa ~cx ~cy () in
     let h = Dpp_netlist.Hypergraph.build d in
-    let nb = Netbox.build (Pins.build d) ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
+    let nb = Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
     ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~hypergraph:h ~legal ());
-    let stats =
-      Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Dpp_place.Legal.cx
-        ~cy:legal.Dpp_place.Legal.cy ()
-    in
+    let stats = Dpp_place.Flip.run d ~pool ~netbox:nb () in
     ( Array.copy legal.Dpp_place.Legal.assignment,
       Array.copy legal.Dpp_place.Legal.cx,
       Array.copy legal.Dpp_place.Legal.cy,

@@ -6,6 +6,9 @@ module Builder = Dpp_netlist.Builder
 module Design = Dpp_netlist.Design
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
+module Netbox = Dpp_wirelen.Netbox
+module Soa = Dpp_netlist.Soa
+module Hypergraph = Dpp_netlist.Hypergraph
 module Qp = Dpp_place.Qp
 module Gp = Dpp_place.Gp
 module Legal = Dpp_place.Legal
@@ -91,14 +94,17 @@ let test_gp_reduces_overflow () =
   let before =
     Dpp_density.Overflow.total_overflow d grid ~target_density:0.9 ~cx:qp.Qp.cx ~cy:qp.Qp.cy
   in
-  let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins:(Pins.build d) d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "overflow reduced" true (gp.Gp.final_overflow < before);
   Alcotest.(check bool) "reaches target-ish" true (gp.Gp.final_overflow < 0.15)
 
 let test_gp_trace_monotone_overflow () =
   let d = place_design 75 in
   let qp = Qp.run ~seed:1 d in
-  let gp = Gp.run d { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp =
+    Gp.run ~pins:(Pins.build d) d { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx
+      ~cy:qp.Qp.cy
+  in
   Alcotest.(check bool) "trace nonempty" true (gp.Gp.trace <> []);
   (* overflow should broadly decrease over rounds *)
   let ovfs = List.map (fun (ri : Gp.round_info) -> ri.Gp.overflow) gp.Gp.trace in
@@ -119,7 +125,7 @@ let test_gp_rigid_groups_stay_arrays () =
   let qp = Qp.run ~seed:1 d in
   let dgs = Dpp_structure.Dgroup.build_all d d.Design.groups in
   let cfg = { Gp.default_config with Gp.rigid_groups = dgs } in
-  let gp = Gp.run d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins:(Pins.build d) d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   List.iter
     (fun dg ->
       Alcotest.(check (float 1e-6)) "rigid group is an exact array" 0.0
@@ -139,9 +145,10 @@ let test_gp_soft_groups_reduce_alignment_error () =
   in
   let qp = Qp.run ~seed:1 d in
   let dgs = Dpp_structure.Dgroup.build_all d d.Design.groups in
-  let base = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let pins = Pins.build d in
+  let base = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let soft =
-    Gp.run d { Gp.default_config with Gp.groups = dgs; beta = 2.0 } ~cx:qp.Qp.cx ~cy:qp.Qp.cy
+    Gp.run ~pins d { Gp.default_config with Gp.groups = dgs; beta = 2.0 } ~cx:qp.Qp.cx ~cy:qp.Qp.cy
   in
   let err r = Dpp_structure.Alignment.total_error dgs ~cx:r.Gp.cx ~cy:r.Gp.cy in
   Alcotest.(check bool) "soft alignment tightens groups" true (err soft < err base)
@@ -150,8 +157,9 @@ let test_gp_soft_groups_reduce_alignment_error () =
 
 let run_legalization d =
   let qp = Qp.run ~seed:1 d in
-  let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
-  let legal = Legal.run d ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
+  let pins = Pins.build d in
+  let gp = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let legal = Legal.run d ~soa:pins.Pins.soa ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   Abacus.run d ~target_cx:gp.Gp.cx ~legal ();
   gp, legal
 
@@ -174,7 +182,9 @@ let test_legalization_respects_obstacles () =
       ~xh:(die.Rect.xl +. (Rect.width die /. 3.0))
       ~yh:(die.Rect.yl +. 30.0)
   in
-  let legal = Legal.run d ~extra_obstacles:[ ob ] ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
+  let legal =
+    Legal.run d ~soa:(Soa.of_design d) ~extra_obstacles:[ ob ] ~cx:qp.Qp.cx ~cy:qp.Qp.cy ()
+  in
   Array.iter
     (fun i ->
       if legal.Legal.assignment.(i) >= 0 then begin
@@ -191,7 +201,7 @@ let test_legalization_skip () =
   let d = place_design 80 in
   let qp = Qp.run ~seed:1 d in
   let skip i = i < 5 in
-  let legal = Legal.run d ~skip ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
+  let legal = Legal.run d ~soa:(Soa.of_design d) ~skip ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
   for i = 0 to 4 do
     if not (Types.is_fixed_kind (Design.cell d i).Types.c_kind) then begin
       Alcotest.(check int) "skipped unassigned" (-1) legal.Legal.assignment.(i);
@@ -202,8 +212,9 @@ let test_legalization_skip () =
 let test_abacus_reduces_displacement () =
   let d = place_design 81 in
   let qp = Qp.run ~seed:1 d in
-  let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
-  let legal1 = Legal.run d ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
+  let pins = Pins.build d in
+  let gp = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let legal1 = Legal.run d ~soa:pins.Pins.soa ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   let disp l =
     Array.fold_left
       (fun acc i ->
@@ -223,7 +234,8 @@ let test_detail_improves_and_stays_legal () =
   let gp, legal = run_legalization d in
   let pins = Pins.build d in
   let before = Hpwl.total pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  let stats = Detail.run d ~max_passes:3 ~legal () in
+  let netbox = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+  let stats = Detail.run d ~max_passes:3 ~netbox ~hypergraph:(Hypergraph.build d) ~legal () in
   let after = Hpwl.total pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
   ignore gp;
   Alcotest.(check bool) "hpwl not worse" true (after <= before +. 1e-6);
@@ -239,7 +251,8 @@ let test_detail_skip_frozen () =
   let _, legal = run_legalization d in
   let frozen = Array.copy legal.Legal.cx in
   let skip i = i mod 7 = 0 in
-  ignore (Detail.run d ~max_passes:2 ~skip ~legal ());
+  let netbox = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+  ignore (Detail.run d ~max_passes:2 ~skip ~netbox ~hypergraph:(Hypergraph.build d) ~legal ());
   Array.iter
     (fun i ->
       if skip i && legal.Legal.assignment.(i) >= 0 then
@@ -294,7 +307,8 @@ let test_flip_improves_and_preserves_legality () =
   let _, legal = run_legalization d in
   let pins_before = Pins.build d in
   let before = Hpwl.total pins_before ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  let stats = Dpp_place.Flip.run d ~cx:legal.Legal.cx ~cy:legal.Legal.cy () in
+  let netbox = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+  let stats = Dpp_place.Flip.run d ~netbox () in
   let pins_after = Pins.build d in
   let after = Hpwl.total pins_after ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
   Alcotest.(check bool) "hpwl not worse" true (after <= before +. 1e-6);
@@ -307,7 +321,8 @@ let test_flip_improves_and_preserves_legality () =
 let test_flip_orientation_recorded () =
   let d = place_design 85 in
   let _, legal = run_legalization d in
-  let stats = Dpp_place.Flip.run d ~cx:legal.Legal.cx ~cy:legal.Legal.cy () in
+  let netbox = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+  let stats = Dpp_place.Flip.run d ~netbox () in
   let flipped =
     Array.fold_left
       (fun acc o -> if o = Dpp_geom.Orient.FN then acc + 1 else acc)
@@ -381,8 +396,10 @@ let test_swap_requires_exact_footprint () =
   let nc = Design.num_cells d in
   let cx = Array.init nc (fun i -> Design.cell_center_x d i) in
   let cy = Array.init nc (fun i -> Design.cell_center_y d i) in
-  let legal = Legal.run d ~cx ~cy () in
-  ignore (Detail.run d ~max_passes:2 ~legal ());
+  let pins = Pins.build d in
+  let legal = Legal.run d ~soa:pins.Pins.soa ~cx ~cy () in
+  let netbox = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+  ignore (Detail.run d ~max_passes:2 ~netbox ~hypergraph:(Hypergraph.build d) ~legal ());
   (* the move pass may relocate p and q legally; what the old quantized
      bucket did was *swap* their footprints, sliding the wider q into r *)
   ignore p;
@@ -410,10 +427,11 @@ let test_detail_skips_tall_cells () =
   (* hand the tall cell to Detail as a placed row-0 cell, the way a
      caller without the flow's macro handling would *)
   let legal = { Legal.assignment = Array.make nc 0; cx; cy; failed = [] } in
-  ignore (Detail.run d ~max_passes:2 ~legal ());
+  let netbox = Netbox.build (Pins.build d) ~cx ~cy in
+  ignore (Detail.run d ~max_passes:2 ~netbox ~hypergraph:(Hypergraph.build d) ~legal ());
   Alcotest.(check (float 1e-12)) "tall cell x untouched" 2.0 legal.Legal.cx.(t);
   Alcotest.(check (float 1e-12)) "tall cell y untouched" 10.0 legal.Legal.cy.(t);
-  let stats = Dpp_place.Flip.run d ~cx:legal.Legal.cx ~cy:legal.Legal.cy () in
+  let stats = Dpp_place.Flip.run d ~netbox () in
   Alcotest.(check int) "flip skips tall cells too" 0 stats.Dpp_place.Flip.flips
 
 (* The old list-based split matched intervals by float equality of the

@@ -89,7 +89,7 @@ let test_inflation_budget_clamped () =
   let d = channel in
   let qp = Qp.run ~seed:1 d in
   let cfg = { gp_cfg with Gp.rt_overflow = 0.2; rt_max_inflate = 0.02 } in
-  let r = Gp.run d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let r = Gp.run ~pins:(Pins.build d) d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "ledger non-empty" true (r.Gp.rt_trace <> []);
   let saw_inflation = ref false in
   List.iter
@@ -135,7 +135,10 @@ let test_rt_disabled_is_clean () =
      empty ledger, and the ledger oracle accepts the empty list *)
   let d = channel in
   let qp = Qp.run ~seed:1 d in
-  let r = Gp.run d { gp_cfg with Gp.routability = false } ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let r =
+    Gp.run ~pins:(Pins.build d) d { gp_cfg with Gp.routability = false } ~cx:qp.Qp.cx
+      ~cy:qp.Qp.cy
+  in
   Alcotest.(check bool) "no ledger" true (r.Gp.rt_trace = []);
   Alcotest.(check int) "oracle accepts empty ledger" 0
     (List.length (Check.rt_ledger r.Gp.rt_trace))

@@ -123,7 +123,7 @@ let test_kernels_match_record_path () =
         (fun ~gx ~gy -> R.lse_value_grad rp ~gamma ~cx ~cy ~gx ~gy);
       let nx, ny = Grid.default_dims d in
       let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create ~soa:pins.Pins.soa d ~grid ~target_density:0.9 in
+      let bell = Bell.of_soa pins.Pins.soa ~grid ~target_density:0.9 in
       let rbell = R.Rbell.create d ~grid ~target_density:0.9 in
       grad_equal ~what:(name ^ " bell") n
         (fun ~gx ~gy -> Bell.value_grad bell ~cx ~cy ~gx ~gy)
@@ -160,7 +160,7 @@ let test_kernels_jobs_1_2_4 () =
       let gamma = max 1.0 (0.02 *. Dpp_geom.Rect.width d.Design.die) in
       let nx, ny = Grid.default_dims d in
       let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create ~soa:pins.Pins.soa d ~grid ~target_density:0.9 in
+      let bell = Bell.of_soa pins.Pins.soa ~grid ~target_density:0.9 in
       let at_jobs jobs =
         Pool.with_pool ~nworkers:jobs @@ fun pool ->
         let pg = Par_grad.create pool pins in

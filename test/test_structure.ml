@@ -10,6 +10,7 @@ module Dgroup = Dpp_structure.Dgroup
 module Alignment = Dpp_structure.Alignment
 module Shaping = Dpp_structure.Shaping
 module Pins = Dpp_wirelen.Pins
+module Hypergraph = Dpp_netlist.Hypergraph
 module Compose = Dpp_gen.Compose
 
 (* A design holding a labelled 4x3 array of uniform cells plus spares. *)
@@ -144,7 +145,9 @@ let test_snap_geometry () =
   let d = realistic_design () in
   let dgs = Dgroup.build_all d d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap d dgs ~cx ~cy in
+  let placed =
+    Shaping.snap ~pins:(Pins.build d) ~hypergraph:(Hypergraph.build d) d dgs ~cx ~cy
+  in
   Alcotest.(check int) "all groups snapped" (List.length dgs) (List.length placed);
   (* footprints: inside the die, on grid, mutually disjoint *)
   List.iter
@@ -170,7 +173,9 @@ let test_snap_apply () =
   let d = realistic_design () in
   let dgs = Dgroup.build_all d d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap d dgs ~cx ~cy in
+  let placed =
+    Shaping.snap ~pins:(Pins.build d) ~hypergraph:(Hypergraph.build d) d dgs ~cx ~cy
+  in
   List.iter (fun p -> Shaping.apply p ~cx ~cy) placed;
   (* after apply the alignment error of every snapped group is zero *)
   List.iter
@@ -183,7 +188,10 @@ let test_snap_oversized_left_soft () =
   let d = realistic_design () in
   let dgs = Dgroup.build_all d d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap ~max_die_fraction:0.0001 d dgs ~cx ~cy in
+  let placed =
+    Shaping.snap ~max_die_fraction:0.0001 ~pins:(Pins.build d) ~hypergraph:(Hypergraph.build d) d
+      dgs ~cx ~cy
+  in
   Alcotest.(check int) "nothing snapped under a tiny cap" 0 (List.length placed)
 
 let suite =

@@ -44,7 +44,7 @@ let test_plot_placement_file () =
 let test_plot_with_congestion () =
   let d = Dpp_gen.Compose.build (List.nth Dpp_gen.Presets.suite 4) in
   let cx, cy = Pins.centers_of_design d in
-  let rudy = Dpp_congest.Rudy.compute d ~cx ~cy in
+  let rudy = Dpp_congest.Rudy.compute ~pins:(Pins.build d) d ~cx ~cy in
   let path = Filename.temp_file "dpp_plot" ".svg" in
   Plot.placement ~congestion:rudy d ~path;
   let ok = Sys.file_exists path in
