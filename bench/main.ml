@@ -120,12 +120,10 @@ let run_detail_bench () =
   in
   (* weighted rescan of the union of both cells' nets, before/after the
      staged swap — the pre-refactor Detail.local_hpwl evaluation *)
-  let module Hypergraph = Dpp_netlist.Hypergraph in
-  let h = Hypergraph.build d in
   let local i j =
     let seen = Hashtbl.create 16 in
     List.iter
-      (fun c -> Hypergraph.iter_nets_of_cell h c (fun n -> Hashtbl.replace seen n ()))
+      (fun c -> Dpp_netlist.Soa.iter_nets_of_cell pins.Pins.soa c (fun n -> Hashtbl.replace seen n ()))
       [ i; j ];
     Hashtbl.fold
       (fun n () acc ->
@@ -331,7 +329,6 @@ let run_legal_bench () =
   let module Types = Dpp_netlist.Types in
   let module Pins = Dpp_wirelen.Pins in
   let module Netbox = Dpp_wirelen.Netbox in
-  let module Hypergraph = Dpp_netlist.Hypergraph in
   let module Rect = Dpp_geom.Rect in
   let module Pool = Dpp_par.Pool in
   let module Legal = Dpp_place.Legal in
@@ -349,8 +346,7 @@ let run_legal_bench () =
     let pins = Pins.build d in
     let legal = Legal.run d ~pool ~soa:pins.Pins.soa ~cx ~cy () in
     let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-    let h = Hypergraph.build d in
-    ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~hypergraph:h ~legal ());
+    ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~legal ());
     ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ());
     legal.Legal.assignment, legal.Legal.cx, legal.Legal.cy, Array.copy d.Design.orient
   in
@@ -541,9 +537,8 @@ let run_legal_bench () =
         let legal_rate = rate (fun () -> ignore (Legal.run d ~pool ~soa ~cx ~cy ())) in
         let legal = Legal.run d ~pool ~soa ~cx ~cy () in
         let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-        let h = Hypergraph.build d in
         let t0 = Unix.gettimeofday () in
-        ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~hypergraph:h ~legal ());
+        ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~legal ());
         let detail_s = Unix.gettimeofday () -. t0 in
         say "  jobs %d: legal %8.2f runs/s  detail %6.3f s" jobs legal_rate detail_s;
         jobs, legal_rate, detail_s)
@@ -753,24 +748,6 @@ let run_xl_bench () =
      unaffected where it matters — every timed kernel runs after its
      own full-major settle in [best]. *)
   Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
-  let vm_hwm_kb () =
-    (* peak resident set so far, from the kernel's own accounting *)
-    let ic = open_in "/proc/self/status" in
-    let rec loop acc =
-      match input_line ic with
-      | line ->
-        let acc =
-          if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
-          else acc
-        in
-        loop acc
-      | exception End_of_file ->
-        close_in ic;
-        acc
-    in
-    loop 0
-  in
   let sec f =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -939,7 +916,7 @@ let run_xl_bench () =
             kernels
         in
         let heap = (Gc.stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1024 in
-        let hwm = vm_hwm_kb () in
+        let hwm = Dpp_util.Meminfo.vm_hwm_kb () in
         say "  %-7s %7d cells %7d nets: soa derive %6.3f s, peak rss %d MB" name
           (Design.num_cells d) (Design.num_nets d) derive_s (hwm / 1024);
         List.iter

@@ -27,16 +27,16 @@ let () =
   let d = Dpp_gen.Compose.build spec in
   (* the netlist views every engine below reads, derived once *)
   let pins = Pins.build d in
-  let hypergraph = Dpp_netlist.Hypergraph.build d in
+  let soa = pins.Pins.soa in
   (* 1. extraction, with a stricter minimum group height than the default *)
   let groups =
-    (Dpp_extract.Slicer.run_with ~hypergraph d
+    (Dpp_extract.Slicer.run_with ~soa d
        { Dpp_extract.Slicer.default_config with Dpp_extract.Slicer.min_slices = 8 })
       .Dpp_extract.Slicer.groups
   in
   Format.printf "extracted %d groups@." (List.length groups);
   (* 2. initial placement *)
-  let qp = Dpp_place.Qp.run_with ~seed:3 ~hypergraph d in
+  let qp = Dpp_place.Qp.run_with ~seed:3 ~soa d in
   Format.printf "quadratic init: HPWL %.0f (PCG %d+%d iters)@."
     (Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy)
     qp.Dpp_place.Qp.iterations_x qp.Dpp_place.Qp.iterations_y;
@@ -62,13 +62,13 @@ let () =
   in
   (* 4. legalize + refine *)
   let legal =
-    Dpp_place.Legal.run d ~soa:pins.Pins.soa ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy ()
+    Dpp_place.Legal.run d ~soa ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy ()
   in
   Dpp_place.Abacus.run d ~target_cx:gp.Dpp_place.Gp.cx ~legal ();
   let netbox =
     Dpp_wirelen.Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy
   in
-  let stats = Dpp_place.Detail.run d ~max_passes:4 ~netbox ~hypergraph ~legal () in
+  let stats = Dpp_place.Detail.run d ~max_passes:4 ~netbox ~legal () in
   let final = Hpwl.total pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
   Format.printf "legal+detail: HPWL %.0f (detail recovered %.0f in %d moves)@." final
     (stats.Dpp_place.Detail.reorder_gain +. stats.Dpp_place.Detail.swap_gain)

@@ -3,7 +3,7 @@ module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
 module Design = Dpp_netlist.Design
 module Builder = Dpp_netlist.Builder
-module Hypergraph = Dpp_netlist.Hypergraph
+module Soa = Dpp_netlist.Soa
 module Dgroup = Dpp_structure.Dgroup
 
 let src = Logs.Src.create "dpp.coarsen" ~doc:"multilevel coarsening"
@@ -13,6 +13,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type level = {
   fine : Design.t;
   coarse : Design.t;
+  coarse_soa : Soa.t;
   cluster_of : int array;
   members : int array array;
   group_of : (int * Dgroup.t) list;
@@ -46,7 +47,7 @@ let scratch_ints ?arena key n =
 let scratch_floats ?arena key n =
   match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
 
-let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~hypergraph:h (fine : Design.t) =
+let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~(soa : Soa.t) (fine : Design.t) =
   let nc = Design.num_cells fine in
   let cluster_of = Array.make nc (-1) in
   let next = ref 0 in
@@ -129,16 +130,18 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~hypergraph:h (fi
         else begin
           n_touched := 0;
           let a_u = cell_area fine u in
-          Hypergraph.iter_nets_of_cell h u (fun n ->
-              let deg = Hypergraph.net_degree h n in
+          Soa.iter_nets_of_cell soa u (fun n ->
+              (* distinct cells, not pins: a net's two pins on one cell
+                 are one neighbour *)
+              let deg = Soa.net_cell_count soa n in
               if deg >= 2 && deg <= max_net_degree then begin
-                let w = (Design.net fine n).Types.n_weight /. float_of_int (deg - 1) in
-                Hypergraph.iter_cells_of_net h n (fun v ->
+                let w = soa.Soa.net_weight.(n) /. float_of_int (deg - 1) in
+                Soa.iter_cells_of_net soa n (fun v ->
                     if
                       v <> u
                       && cluster_of.(v) < 0
                       && (not (protect v))
-                      && (Design.cell fine v).Types.c_kind = Types.Movable
+                      && not (Soa.is_fixed soa v)
                       && a_u +. cell_area fine v <= area_cap
                     then begin
                       if stamp.(v) <> u then begin
@@ -236,21 +239,19 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~hypergraph:h (fi
      merged), one center pin per (net, cluster); single-cluster nets are
      internal and vanish.  Keys are visited in first-seen order over the
      ascending fine nets, so net ids are deterministic too. *)
-  let net_keys = Hashtbl.create (Design.num_nets fine) in
+  let net_keys = Hashtbl.create (Soa.num_nets soa) in
   let key_order = ref [] in
-  for n = 0 to Design.num_nets fine - 1 do
-    let net = Design.net fine n in
-    let cs =
-      Array.to_list (Array.map (fun p -> cluster_of.((Design.pin fine p).Types.p_cell)) net.Types.n_pins)
-      |> List.sort_uniq compare
-    in
-    match cs with
+  for n = 0 to Soa.num_nets soa - 1 do
+    let weight = soa.Soa.net_weight.(n) in
+    let cs = ref [] in
+    Soa.iter_cells_of_net soa n (fun c -> cs := cluster_of.(c) :: !cs);
+    match List.sort_uniq compare !cs with
     | [] | [ _ ] -> ()
-    | _ -> (
+    | cs -> (
       match Hashtbl.find_opt net_keys cs with
-      | Some w -> Hashtbl.replace net_keys cs (w +. net.Types.n_weight)
+      | Some w -> Hashtbl.replace net_keys cs (w +. weight)
       | None ->
-        Hashtbl.add net_keys cs net.Types.n_weight;
+        Hashtbl.add net_keys cs weight;
         key_order := cs :: !key_order)
   done;
   List.iter
@@ -260,7 +261,7 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~hypergraph:h (fi
       ignore (Builder.add_net b ~weight pins))
     (List.rev !key_order);
   let coarse = Builder.finish b in
-  { fine; coarse; cluster_of; members; group_of; protected }
+  { fine; coarse; coarse_soa = Soa.of_design coarse; cluster_of; members; group_of; protected }
 
 (* Size of the largest connected component of movable cells (connectivity
    through nets of any degree).  PEKO-style benches decompose into
@@ -269,63 +270,60 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~hypergraph:h (fi
    reduces the wirelength gap (the 33.8x PEKO regression).  When even
    the largest island is at or below the flat-GP floor, coarsening has
    nothing to exploit and [build] falls back to flat GP. *)
-let largest_movable_component (d : Design.t) =
-  let nc = Design.num_cells d in
+let largest_movable_component (s : Soa.t) =
+  let nc = Soa.num_cells s in
   if nc = 0 then 0
   else begin
     let uf = Dpp_util.Union_find.create nc in
-    for n = 0 to Design.num_nets d - 1 do
-      let pins = (Design.net d n).Types.n_pins in
-      if Array.length pins >= 2 then begin
-        let c0 = (Design.pin d pins.(0)).Types.p_cell in
-        for k = 1 to Array.length pins - 1 do
-          Dpp_util.Union_find.union uf c0 (Design.pin d pins.(k)).Types.p_cell
-        done
-      end
+    for n = 0 to Soa.num_nets s - 1 do
+      let first = ref (-1) in
+      Soa.iter_cells_of_net s n (fun c ->
+          if !first < 0 then first := c else Dpp_util.Union_find.union uf !first c)
     done;
     let counts = Array.make nc 0 in
     let best = ref 0 in
-    Array.iter
-      (fun i ->
+    for i = 0 to nc - 1 do
+      if not (Soa.is_fixed s i) then begin
         let r = Dpp_util.Union_find.find uf i in
         counts.(r) <- counts.(r) + 1;
-        if counts.(r) > !best then best := counts.(r))
-      (Design.movable_ids d);
+        if counts.(r) > !best then best := counts.(r)
+      end
+    done;
     !best
   end
 
 let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
-    ?(area_cap_factor = 4.0) ~seed ~hypergraph (root : Design.t) =
+    ?(area_cap_factor = 4.0) ~seed ~soa (root : Design.t) =
   let rng = Rng.create (seed lxor 0x436f6172) in
-  let rec go acc depth fine groups protect =
+  (* the root's flat view is the caller's; each level derives its coarse
+     design's once and the next depth coarsens over it *)
+  let rec go acc depth fine soa groups protect =
     let n_mov = Array.length (Design.movable_ids fine) in
     if depth >= max_levels || n_mov <= min_cells then List.rev acc
     else begin
-      (* the root's adjacency is the caller's; each coarse design derives its own *)
-      let hypergraph = if depth = 0 then hypergraph else Hypergraph.build fine in
       let lvl =
-        coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~area_cap_factor ~hypergraph fine
+        coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~area_cap_factor ~soa fine
       in
       let n_coarse = Array.length (Design.movable_ids lvl.coarse) in
       Log.info (fun m ->
           m "level %d: %d -> %d movables (%d group clusters)" (depth + 1) n_mov n_coarse
             (List.length lvl.group_of));
       if float_of_int n_coarse > 0.9 *. float_of_int n_mov then List.rev acc
-      else go (lvl :: acc) (depth + 1) lvl.coarse [] (fun i -> lvl.protected.(i))
+      else go (lvl :: acc) (depth + 1) lvl.coarse lvl.coarse_soa [] (fun i -> lvl.protected.(i))
     end
   in
   let n_mov = Array.length (Design.movable_ids root) in
   if n_mov > min_cells then begin
-    let lcc = largest_movable_component root in
+    let lcc = largest_movable_component soa in
     if lcc <= min_cells then begin
       Log.info (fun m ->
           m "disconnected design: largest movable component %d <= %d; flat GP fallback" lcc
             min_cells);
       []
     end
-    else go [] 0 root groups (fun _ -> false)
+    else go [] 0 root soa groups (fun _ -> false)
   end
-  else go [] 0 root groups (fun _ -> false)
+  else go [] 0 root soa groups (fun _ -> false)
 
 let cluster_centers ?arena (lvl : level) ~cx ~cy =
   let k = Design.num_cells lvl.coarse in

@@ -4,7 +4,8 @@
     belongs to exactly one cluster, every cluster is one coarse cell.
     The first level seeds one cluster per datapath group ({!Dpp_structure.Dgroup})
     — a bit-slice is never split across clusters — then matches the
-    remaining movable cells by heavy-edge scores over the hypergraph,
+    remaining movable cells by heavy-edge scores over the cell<->net
+    incidence of the fine level's {!Dpp_netlist.Soa} view,
     with an area cap and seeded deterministic tie-breaking.  Fixed cells
     and pads are preserved one-to-one.
 
@@ -15,6 +16,10 @@
 type level = {
   fine : Dpp_netlist.Design.t;
   coarse : Dpp_netlist.Design.t;
+  coarse_soa : Dpp_netlist.Soa.t;
+      (** the flat view of [coarse], derived once when the level is
+          built: the next depth coarsens over it and the V-cycle solves
+          the level through it *)
   cluster_of : int array;
       (** fine cell id -> coarse cell id; defined for {e every} fine
           cell (fixed cells map to their preserved singleton) *)
@@ -35,12 +40,12 @@ val build :
   ?max_levels:int ->
   ?area_cap_factor:float ->
   seed:int ->
-  hypergraph:Dpp_netlist.Hypergraph.t ->
+  soa:Dpp_netlist.Soa.t ->
   Dpp_netlist.Design.t ->
   level list
-(** [build ~groups ~seed ~hypergraph d] is the coarsening hierarchy,
-    matched over [hypergraph] (the cell<->net adjacency of [d]) at the
-    first level and over each coarse design's own one below; finest level
+(** [build ~groups ~seed ~soa d] is the coarsening hierarchy, matched
+    over the cell<->net incidence of [soa] (the flat view of [d]) at the
+    first level and over each level's [coarse_soa] below; finest level
     first ([levels.(k).coarse == levels.(k+1).fine]).  [groups] seeds
     the first level only (deeper levels keep those clusters intact as
     protected singletons).  Stops when the coarse design has at most

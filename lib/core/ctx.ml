@@ -1,7 +1,6 @@
 module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Groups = Dpp_netlist.Groups
-module Hypergraph = Dpp_netlist.Hypergraph
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
 module Hpwl = Dpp_wirelen.Hpwl
@@ -16,7 +15,6 @@ type t = {
           context owns its own. *)
   soa : Soa.t;
   pins : Pins.t;
-  hypergraph : Hypergraph.t;
   mutable cx : float array;
   mutable cy : float array;
   mutable netbox : Netbox.t option;
@@ -58,7 +56,6 @@ let create design config =
     arena = Dpp_util.Arena.create ();
     soa;
     pins = Pins.of_soa soa;
-    hypergraph = Hypergraph.build design;
     cx;
     cy;
     netbox = None;

@@ -1,15 +1,15 @@
 (** The shared placement context threaded through the flow's stages.
 
     One [t] is allocated per {!Flow.run}: it owns the placed design copy,
-    the three netlist views derived from it, the live coordinate arrays,
+    the two netlist views derived from it, the live coordinate arrays,
     and, from legalization onward, the {!Dpp_wirelen.Netbox}
     incremental-cost cache that the detailed-placement and flip stages
     evaluate their moves against.  Stages communicate exclusively by
     mutating the context.
 
-    {!create} is the only place a flow derives the input design's [soa],
-    [pins] and [hypergraph]; every stage hands them to its engine as
-    required arguments.  The flip stage mirrors pin offsets in place
+    {!create} is the only place a flow derives the input design's [soa]
+    and [pins]; every stage hands them to its engine as required
+    arguments.  The flip stage mirrors pin offsets in place
     through the netbox, so the pin view stays valid after it. *)
 
 type t = {
@@ -26,9 +26,10 @@ type t = {
       (** the flat structure-of-arrays view of [design], derived once at
           context creation and authoritative for every hot kernel; its
           [x]/[y]/[orient] arrays alias the design's, so in-place mutation
-          (flips) stays visible through both views *)
+          (flips) stays visible through both views; it also carries the
+          cell<->net incidence extraction, QP, snapping, detail and
+          coarsening walk *)
   pins : Dpp_wirelen.Pins.t;  (** built once at context creation, over [soa] *)
-  hypergraph : Dpp_netlist.Hypergraph.t;  (** the cell<->net adjacency of [design] *)
   mutable cx : float array;  (** live cell centers — the current best placement *)
   mutable cy : float array;
   mutable netbox : Dpp_wirelen.Netbox.t option;
@@ -73,8 +74,8 @@ type t = {
 }
 
 val create : Dpp_netlist.Design.t -> Config.t -> t
-(** Derives the flat, pin and hypergraph views and captures the design's
-    current centers. *)
+(** Derives the flat and pin views and captures the design's current
+    centers. *)
 
 val set_skip : t -> int array -> unit
 (** Install [skip] as membership in the given id set, recording the set

@@ -67,7 +67,7 @@ let extract_stage =
         (match cfg.Config.group_source with
         | Config.Ground_truth -> ctx.Ctx.groups_used <- d.Design.groups
         | Config.Extracted ->
-          let r = Slicer.run_with ~hypergraph:ctx.Ctx.hypergraph d cfg.Config.extract in
+          let r = Slicer.run_with ~soa:ctx.Ctx.soa d cfg.Config.extract in
           let metrics =
             Exmetrics.compare_to_truth ~truth:d.Design.groups ~found:r.Slicer.groups
           in
@@ -86,7 +86,7 @@ let init_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        let qp = Qp.run_with ~seed:cfg.Config.seed ~hypergraph:ctx.Ctx.hypergraph d in
+        let qp = Qp.run_with ~seed:cfg.Config.seed ~soa:ctx.Ctx.soa d in
         Ctx.set_coords ctx qp.Qp.cx qp.Qp.cy;
         (* idealized arrays are oriented by the connectivity-driven initial
            placement, so alignment works with the net forces, not against
@@ -157,7 +157,7 @@ let gp_stage =
             Dpp_coarsen.build ~arena:ctx.Ctx.arena
               ~groups:(ctx.Ctx.dgroups @ ctx.Ctx.macro_dgs)
               ~min_cells:cfg.Config.ml_min_cells ~max_levels:cfg.Config.ml_max_levels
-              ~seed:cfg.Config.seed ~hypergraph:ctx.Ctx.hypergraph d
+              ~seed:cfg.Config.seed ~soa:ctx.Ctx.soa d
           else []
         in
         ctx.Ctx.ml_levels <- levels;
@@ -178,11 +178,11 @@ let snap_stage =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
-        let pins = ctx.Ctx.pins and hypergraph = ctx.Ctx.hypergraph in
+        let pins = ctx.Ctx.pins in
         (* movable multi-row macros must become row-aligned obstacles in
            every mode: the row legalizer cannot handle them *)
         let placed_macros =
-          Shaping.snap ~max_die_fraction:1.0 ~pins ~hypergraph d ctx.Ctx.macro_dgs ~cx ~cy
+          Shaping.snap ~max_die_fraction:1.0 ~pins d ctx.Ctx.macro_dgs ~cx ~cy
         in
         let placed_groups =
           match cfg.Config.mode with
@@ -191,7 +191,7 @@ let snap_stage =
             (* soft groups that fit also snap (they were pulled toward
                arrays by the penalty); Shaping drops oversized ones *)
             Shaping.snap ~max_die_fraction:snap_fraction
-              ~extra_obstacles:(Shaping.obstacles placed_macros) ~pins ~hypergraph d
+              ~extra_obstacles:(Shaping.obstacles placed_macros) ~pins d
               ctx.Ctx.dgroups ~cx ~cy
         in
         let placed = placed_macros @ placed_groups in
@@ -237,7 +237,7 @@ let detail_stage =
         let stats =
           Detail.run ctx.Ctx.design ~pool:ctx.Ctx.pool
             ~max_passes:ctx.Ctx.config.Config.detail_passes ~skip:ctx.Ctx.skip
-            ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx) ~hypergraph:ctx.Ctx.hypergraph ~legal ()
+            ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx) ~legal ()
         in
         ctx.Ctx.detail_stats <- Some stats;
         ctx);

@@ -367,8 +367,7 @@ let backend_checks (c : case) =
       let pins = Pins.build d in
       let legal = Dpp_place.Legal.run d ~pool ~soa:pins.Pins.soa ~cx ~cy () in
       let nb = Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
-      let h = Dpp_netlist.Hypergraph.build d in
-      ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~hypergraph:h ~legal ());
+      ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~legal ());
       ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ());
       ( legal.Dpp_place.Legal.assignment,
         legal.Dpp_place.Legal.cx,

@@ -15,7 +15,7 @@ let mix h v =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.to_int (Int64.logand (Int64.logxor z (Int64.shift_right_logical z 31)) 0x3FFFFFFFFFFFFFFFL)
 
-let build (d : Design.t) (_h : Dpp_netlist.Hypergraph.t) (nc : Netclass.t) (sg : Signature.t) =
+let build (d : Design.t) (nc : Netclass.t) (sg : Signature.t) =
   let n_cells = Design.num_cells d in
   let out_edges = Array.make n_cells [] in
   let label_count = Hashtbl.create 1024 in

@@ -10,7 +10,7 @@
 
 type t
 
-val build : Dpp_netlist.Design.t -> Dpp_netlist.Hypergraph.t -> Netclass.t -> Signature.t -> t
+val build : Dpp_netlist.Design.t -> Netclass.t -> Signature.t -> t
 
 val labels_from_class : t -> int -> int list
 (** Distinct labels whose source class is the given signature class. *)

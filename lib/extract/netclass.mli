@@ -16,7 +16,7 @@ type t = {
   movable_degree : int array;  (** distinct movable cells per net *)
 }
 
-val classify : Dpp_netlist.Design.t -> Dpp_netlist.Hypergraph.t -> max_data_degree:int -> t
+val classify : Dpp_netlist.Soa.t -> max_data_degree:int -> t
 (** Nets with 2..[max_data_degree] movable cells are [Data]; with more,
     [Control]. *)
 

@@ -1,6 +1,5 @@
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
-module Hypergraph = Dpp_netlist.Hypergraph
 
 type t = { colors : int array; num_classes : int; class_members : int array array }
 
@@ -42,7 +41,7 @@ let compact colors =
           id)
     colors
 
-let compute (d : Design.t) (_h : Hypergraph.t) (nc : Netclass.t) ~iterations =
+let compute (d : Design.t) (nc : Netclass.t) ~iterations =
   let n_cells = Design.num_cells d in
   let colors =
     Array.init n_cells (fun i ->

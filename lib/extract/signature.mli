@@ -20,12 +20,7 @@ type t = {
   class_members : int array array;  (** class id -> member cells, ascending *)
 }
 
-val compute :
-  Dpp_netlist.Design.t ->
-  Dpp_netlist.Hypergraph.t ->
-  Netclass.t ->
-  iterations:int ->
-  t
+val compute : Dpp_netlist.Design.t -> Netclass.t -> iterations:int -> t
 
 val pin_class : Dpp_netlist.Design.t -> int -> int
 (** Stable hash of a pin's (direction, dx, dy) within its cell. *)

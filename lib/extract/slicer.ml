@@ -1,6 +1,5 @@
 module Design = Dpp_netlist.Design
-module Types = Dpp_netlist.Types
-module Hypergraph = Dpp_netlist.Hypergraph
+module Soa = Dpp_netlist.Soa
 module Groups = Dpp_netlist.Groups
 
 type config = {
@@ -140,12 +139,12 @@ let expand_from st g seed_column =
 (* Control-net seeding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let control_seeds st (d : Design.t) (h : Hypergraph.t) (nc : Netclass.t) =
-  for n = 0 to Design.num_nets d - 1 do
+let control_seeds st (s : Soa.t) (nc : Netclass.t) =
+  for n = 0 to Soa.num_nets s - 1 do
     if Netclass.kind nc n = Netclass.Control then begin
       (* group sinks by signature class *)
       let by_class = Hashtbl.create 16 in
-      Hypergraph.iter_cells_of_net h n (fun c ->
+      Soa.iter_cells_of_net s n (fun c ->
           let cls = Signature.class_of st.sg c in
           if cls >= 0 then
             Hashtbl.replace by_class cls
@@ -343,10 +342,10 @@ let assemble st =
     st.group_columns;
   List.rev !out
 
-let run_with ~hypergraph:h (d : Design.t) cfg =
-  let nc = Netclass.classify d h ~max_data_degree:cfg.max_data_degree in
-  let sg = Signature.compute d h nc ~iterations:cfg.refine_iterations in
-  let lb = Labels.build d h nc sg in
+let run_with ~soa (d : Design.t) cfg =
+  let nc = Netclass.classify soa ~max_data_degree:cfg.max_data_degree in
+  let sg = Signature.compute d nc ~iterations:cfg.refine_iterations in
+  let lb = Labels.build d nc sg in
   let n_cells = Design.num_cells d in
   let st =
     {
@@ -361,7 +360,7 @@ let run_with ~hypergraph:h (d : Design.t) cfg =
       n_grown = 0;
     }
   in
-  control_seeds st d h nc;
+  control_seeds st soa nc;
   chain_seeds st;
   {
     groups = assemble st;
@@ -370,4 +369,4 @@ let run_with ~hypergraph:h (d : Design.t) cfg =
     columns_grown = st.n_grown;
   }
 
-let run d cfg = run_with ~hypergraph:(Hypergraph.build d) d cfg
+let run d cfg = run_with ~soa:(Soa.of_design d) d cfg

@@ -39,9 +39,9 @@ type result = {
   columns_grown : int;  (** BFS expansions accepted *)
 }
 
-val run_with : hypergraph:Dpp_netlist.Hypergraph.t -> Dpp_netlist.Design.t -> config -> result
-(** Extraction over the design's cell<->net adjacency (the flow passes
-    its context's). *)
+val run_with : soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> config -> result
+(** Extraction over [soa], the flat view of the design (the flow passes
+    its context's), whose cell<->net incidence it walks. *)
 
 val run : Dpp_netlist.Design.t -> config -> result
-(** [run d = run_with ~hypergraph:(Hypergraph.build d) d]. *)
+(** [run d = run_with ~soa:(Soa.of_design d) d]. *)

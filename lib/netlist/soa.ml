@@ -37,6 +37,12 @@ type t = {
   pin_dir : I8.t;
   pin_dx : F64.t;
   pin_dy : F64.t;
+  (* deduplicated cell<->net incidence: each net's distinct cells
+     ascending, each cell's nets ascending *)
+  net_cell_off : I32.t;
+  net_cell : I32.t;
+  cell_net_off : I32.t;
+  cell_net : I32.t;
   groups : Groups.t list;
 }
 
@@ -69,6 +75,58 @@ let guard_pin_count ~name counted =
          "Soa.of_design(%s): counted %d pins, which exceeds the int32 CSR offset range \
           (max %d)"
          name counted I32.max_value)
+
+(* The deduplicated cell<->net CSR, derived from the net->pin and
+   pin->cell arrays by two counting sorts and no comparison sort.
+   Visiting nets in ascending order appends each net to its cells'
+   lists in ascending order, and a cell's last-appended net is the
+   only possible duplicate; transposing that visits cells in ascending
+   order, so each net's cell list comes out ascending and distinct. *)
+let cell_net_csr ~nc ~nn ~net_pin_off ~net_pin ~pin_cell =
+  let iter_pin_cells n f =
+    for k = I32.get net_pin_off n to I32.get net_pin_off (n + 1) - 1 do
+      f (I32.uget pin_cell (I32.uget net_pin k))
+    done
+  in
+  let last = Array.make nc (-1) in
+  let cell_net_off = I32.make (nc + 1) 0 in
+  for n = 0 to nn - 1 do
+    iter_pin_cells n (fun c ->
+        if last.(c) <> n then begin
+          last.(c) <- n;
+          I32.set cell_net_off (c + 1) (I32.get cell_net_off (c + 1) + 1)
+        end)
+  done;
+  for c = 0 to nc - 1 do
+    I32.set cell_net_off (c + 1) (I32.get cell_net_off c + I32.get cell_net_off (c + 1))
+  done;
+  let total = I32.get cell_net_off nc in
+  let cell_net = I32.make (max 1 total) 0 in
+  let fill = Array.init nc (fun c -> I32.get cell_net_off c) in
+  Array.fill last 0 nc (-1);
+  let net_cell_off = I32.make (nn + 1) 0 in
+  for n = 0 to nn - 1 do
+    iter_pin_cells n (fun c ->
+        if last.(c) <> n then begin
+          last.(c) <- n;
+          I32.set cell_net fill.(c) n;
+          fill.(c) <- fill.(c) + 1;
+          I32.set net_cell_off (n + 1) (I32.get net_cell_off (n + 1) + 1)
+        end)
+  done;
+  for n = 0 to nn - 1 do
+    I32.set net_cell_off (n + 1) (I32.get net_cell_off n + I32.get net_cell_off (n + 1))
+  done;
+  let net_cell = I32.make (max 1 total) 0 in
+  let fill = Array.init nn (fun n -> I32.get net_cell_off n) in
+  for c = 0 to nc - 1 do
+    for k = I32.get cell_net_off c to I32.get cell_net_off (c + 1) - 1 do
+      let n = I32.uget cell_net k in
+      I32.set net_cell fill.(n) c;
+      fill.(n) <- fill.(n) + 1
+    done
+  done;
+  net_cell_off, net_cell, cell_net_off, cell_net
 
 let of_design (d : Design.t) =
   let nc = Design.num_cells d in
@@ -125,6 +183,9 @@ let of_design (d : Design.t) =
     F64.set pin_dx p pin.Types.p_dx;
     F64.set pin_dy p pin.Types.p_dy
   done;
+  let net_cell_off, net_cell, cell_net_off, cell_net =
+    cell_net_csr ~nc ~nn ~net_pin_off ~net_pin ~pin_cell
+  in
   {
     name = d.Design.name;
     die = d.Design.die;
@@ -156,6 +217,10 @@ let of_design (d : Design.t) =
     pin_dir;
     pin_dx;
     pin_dy;
+    net_cell_off;
+    net_cell;
+    cell_net_off;
+    cell_net;
     groups = d.Design.groups;
   }
 
@@ -215,6 +280,18 @@ let num_pins t = t.num_pins
 let net_degree t n = I32.uget t.net_pin_off (n + 1) - I32.uget t.net_pin_off n
 let cell_degree t i = I32.uget t.cell_pin_off (i + 1) - I32.uget t.cell_pin_off i
 
+let net_cell_count t n = I32.uget t.net_cell_off (n + 1) - I32.uget t.net_cell_off n
+
+let iter_cells_of_net t n f =
+  for k = I32.uget t.net_cell_off n to I32.uget t.net_cell_off (n + 1) - 1 do
+    f (I32.uget t.net_cell k)
+  done
+
+let iter_nets_of_cell t i f =
+  for k = I32.uget t.cell_net_off i to I32.uget t.cell_net_off (i + 1) - 1 do
+    f (I32.uget t.cell_net k)
+  done
+
 let max_net_degree t =
   let m = ref 1 in
   for n = 0 to t.num_nets - 1 do
@@ -233,6 +310,8 @@ let cell_rect t i =
    ledger and the bytes-per-cell accounting in DESIGN.md *)
 let compact_bytes t =
   (4 * (I32.length t.cell_pin_off + I32.length t.cell_pin + I32.length t.net_pin_off
-       + I32.length t.net_pin + I32.length t.pin_cell + I32.length t.pin_net))
+       + I32.length t.net_pin + I32.length t.pin_cell + I32.length t.pin_net
+       + I32.length t.net_cell_off + I32.length t.net_cell + I32.length t.cell_net_off
+       + I32.length t.cell_net))
   + I8.length t.kind + I8.length t.pin_dir
   + (8 * (F64.length t.pin_dx + F64.length t.pin_dy))

@@ -32,6 +32,13 @@
     bit-identical results.  The cell-side CSR ([cell_pin_off]/[cell_pin])
     preserves each cell's pin-list order the same way.
 
+    The deduplicated cell<->net incidence is a second CSR pair:
+    [net_cell] lists each net's distinct cells in ascending id order and
+    [cell_net] each cell's nets in ascending id order (a net with two
+    pins on one cell lists that cell once).  It is what extraction, QP
+    initial placement, group snapping, detailed placement and coarsening
+    walk; {!of_design} is the only code that builds it.
+
     {2 Aliasing contract}
 
     [x], [y] and [orient] {e alias} the source design's mutable arrays:
@@ -75,6 +82,12 @@ type t = {
   pin_dx : Dpp_util.Compact.F64.t;
       (** offset from the cell's lower-left corner, N orientation *)
   pin_dy : Dpp_util.Compact.F64.t;
+  net_cell_off : Dpp_util.Compact.I32.t;
+      (** net->distinct-cell CSR offsets, length [num_nets + 1] *)
+  net_cell : Dpp_util.Compact.I32.t;  (** cell ids, ascending and distinct per net *)
+  cell_net_off : Dpp_util.Compact.I32.t;
+      (** cell->net CSR offsets, length [num_cells + 1] *)
+  cell_net : Dpp_util.Compact.I32.t;  (** net ids, ascending and distinct per cell *)
   groups : Groups.t list;
 }
 
@@ -111,7 +124,20 @@ val num_nets : t -> int
 val num_pins : t -> int
 
 val net_degree : t -> int -> int
+(** Pins on the net. *)
+
 val cell_degree : t -> int -> int
+(** Pins on the cell. *)
+
+val net_cell_count : t -> int -> int
+(** Distinct cells on the net — at most {!net_degree}. *)
+
+val iter_cells_of_net : t -> int -> (int -> unit) -> unit
+(** The net's distinct cells in ascending order; allocation-free. *)
+
+val iter_nets_of_cell : t -> int -> (int -> unit) -> unit
+(** The cell's nets in ascending order; allocation-free. *)
+
 val max_net_degree : t -> int
 (** At least 1, so degree-sized scratch buffers are never empty. *)
 

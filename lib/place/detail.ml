@@ -2,7 +2,6 @@ module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
-module Hypergraph = Dpp_netlist.Hypergraph
 module Pool = Dpp_par.Pool
 
 type stats = { passes : int; reorder_gain : float; swap_gain : float; moves : int }
@@ -193,16 +192,16 @@ let swap_pass (s : Soa.t) pool nb skip (legal : Legal.t) =
    median interval of its incident nets' bounding boxes computed without
    the cell itself.  A cell outside its region is moved into a free gap
    near the region if that lowers the HPWL of its nets. *)
-let move_pass (d : Design.t) (s : Soa.t) pool nb h skip bound (legal : Legal.t) =
+let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
   let cx = legal.Legal.cx and cy = legal.Legal.cy in
   let occ = Occ.build ~soa:s d ~cx ~cy in
   let die = d.Design.die in
   (* median interval of incident-net spans along one axis, cell excluded *)
   let optimal_region i axis_pos =
     let los = ref [] and his = ref [] in
-    Hypergraph.iter_nets_of_cell h i (fun n ->
+    Soa.iter_nets_of_cell s i (fun n ->
         let lo = ref infinity and hi = ref neg_infinity in
-        Hypergraph.iter_cells_of_net h n (fun c ->
+        Soa.iter_cells_of_net s n (fun c ->
             if c <> i then begin
               let v = axis_pos c in
               if v < !lo then lo := v;
@@ -311,7 +310,7 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb h skip bound (legal : Legal.t) 
   !gain, !moves
 
 let run (d : Design.t) ?(pool = Pool.serial) ?(max_passes = 3) ?(skip = fun _ -> false) ?bound
-    ~netbox:nb ~hypergraph:h ~legal () =
+    ~netbox:nb ~legal () =
   let s = (Netbox.pins nb).Pins.soa in
   let reorder_gain = ref 0.0 and swap_gain = ref 0.0 and moves = ref 0 in
   let pass = ref 0 in
@@ -320,7 +319,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?(max_passes = 3) ?(skip = fun _ ->
     incr pass;
     let g1, m1 = reorder_pass s pool nb skip legal in
     let g2, m2 = swap_pass s pool nb skip legal in
-    let g3, m3 = move_pass d s pool nb h skip bound legal in
+    let g3, m3 = move_pass d s pool nb skip bound legal in
     reorder_gain := !reorder_gain +. g1;
     swap_gain := !swap_gain +. g2 +. g3;
     moves := !moves + m1 + m2 + m3;

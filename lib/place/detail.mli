@@ -39,7 +39,6 @@ val run :
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
   netbox:Dpp_wirelen.Netbox.t ->
-  hypergraph:Dpp_netlist.Hypergraph.t ->
   legal:Legal.t ->
   unit ->
   stats
@@ -54,5 +53,5 @@ val run :
 
     [netbox] {e must} have been built over the [legal.cx] / [legal.cy]
     arrays (the flow's shared context guarantees this); the passes read
-    the flat view inside its pin view.  [hypergraph] is the design's
-    cell<->net adjacency. *)
+    the flat view inside its pin view, including its cell<->net
+    incidence. *)

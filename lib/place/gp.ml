@@ -669,7 +669,7 @@ let coarse_config cfg =
    cold start — this is where the multilevel speedup comes from. *)
 let refine_config cfg = { cfg with rounds = min cfg.rounds (max 4 (cfg.rounds / 3)) }
 
-let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
+let run_multilevel ?arena ?on_round ~pins (d : Design.t) cfg
     ~(levels : Dpp_coarsen.level list) ~cx ~cy =
   match levels with
   | [] -> { result = run ?arena ?on_round ~pins d cfg ~cx ~cy; level_trace = [] }
@@ -683,30 +683,27 @@ let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
       let fcx, fcy = coords.(k) in
       coords.(k + 1) <- Dpp_coarsen.cluster_centers ?arena larr.(k) ~cx:fcx ~cy:fcy
     done;
-    let timer = Dpp_util.Timer.create () in
     let trace = ref [] in
     (* coarsest-first: solve each level, prolongate into the next finer *)
     for k = nl - 1 downto 0 do
       let lvl = larr.(k) in
       let ccx, ccy = coords.(k + 1) in
-      let name = Printf.sprintf "L%d" (k + 1) in
+      let coarse = lvl.Dpp_coarsen.coarse in
+      let t0 = Unix.gettimeofday () in
       let r =
-        Dpp_util.Timer.time timer name (fun () ->
-            let coarse = lvl.Dpp_coarsen.coarse in
-            run ~pins:(Pins.build coarse) coarse (coarse_config cfg) ~cx:ccx ~cy:ccy)
+        run ~pins:(Pins.of_soa lvl.Dpp_coarsen.coarse_soa) coarse (coarse_config cfg) ~cx:ccx
+          ~cy:ccy
       in
-      let info =
+      trace :=
         {
           level = k + 1;
-          movables = Array.length (Design.movable_ids lvl.Dpp_coarsen.coarse);
+          movables = Array.length (Design.movable_ids coarse);
           rounds_run = List.length r.trace;
           hpwl = r.final_hpwl;
           overflow = r.final_overflow;
-          wall_s = Dpp_util.Timer.get timer name;
+          wall_s = Unix.gettimeofday () -. t0;
         }
-      in
-      trace := info :: !trace;
-      (match on_level with Some f -> f info | None -> ());
+        :: !trace;
       let fcx, fcy = coords.(k) in
       Dpp_coarsen.interpolate lvl ~ccx:r.cx ~ccy:r.cy ~cx:fcx ~cy:fcy
     done;

@@ -139,7 +139,6 @@ type ml_result = { result : result; level_trace : level_info list }
 val run_multilevel :
   ?arena:Dpp_util.Arena.t ->
   ?on_round:(round_info -> unit) ->
-  ?on_level:(level_info -> unit) ->
   pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->
@@ -154,15 +153,14 @@ val run_multilevel :
     group machinery — group clusters are single cells there), interpolate
     cluster centers down (group slices re-seeded in bit order), and
     finish with a short flat refinement of the full config on [d] over
-    [pins].  Each coarse level derives its own pin view, since it is a
-    different design.  With [levels = []] this is exactly {!run}.  [routability] stays in
+    [pins].  Each coarse level is solved through a pin view over its
+    level's [coarse_soa].  With [levels = []] this is exactly {!run}.  [routability] stays in
     force at every level: each per-level solve re-derives its inflation
     and congestion field from its own coarse netlist's RUDY map and
     closes its ledger before interpolation, so only coordinates cross
     levels — no stale virtual area is restricted or interpolated.
     [rt_trace] in [result] is the flat refinement's ledger.  [on_round]
-    observes the flat refinement only; [on_level] fires after each coarse solve,
-    coarsest first.  [level_trace] lists levels in ascending order
+    observes the flat refinement only.  [level_trace] lists levels in ascending order
     (finest coarse level first).  Deterministic under the same contract
     as {!run}: the trajectory depends on the config and the hierarchy —
     never on the pool size. *)

@@ -1,5 +1,7 @@
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
+module Soa = Dpp_netlist.Soa
+module I32 = Dpp_util.Compact.I32
 module Rect = Dpp_geom.Rect
 module Csr = Dpp_numeric.Csr
 module Pcg = Dpp_numeric.Pcg
@@ -7,7 +9,7 @@ module Rng = Dpp_util.Rng
 
 type result = { cx : float array; cy : float array; iterations_x : int; iterations_y : int }
 
-let run_with ~seed ~hypergraph:h (d : Design.t) =
+let run_with ~seed ~(soa : Soa.t) (d : Design.t) =
   let nc = Design.num_cells d in
   let movable = Design.movable_ids d in
   let m = Array.length movable in
@@ -36,23 +38,24 @@ let run_with ~seed ~hypergraph:h (d : Design.t) =
         by.(vv) <- by.(vv) +. (w *. cy.(u))
       | false, false -> ()
     in
-    for n = 0 to Design.num_nets d - 1 do
-      let cells = Dpp_netlist.Hypergraph.cells_of_net h n in
-      let k = Array.length cells in
+    for n = 0 to Soa.num_nets soa - 1 do
+      let base = I32.uget soa.Soa.net_cell_off n in
+      let cell a = I32.uget soa.Soa.net_cell (base + a) in
+      let k = Soa.net_cell_count soa n in
       if k >= 2 then begin
-        let weight = (Design.net d n).Types.n_weight in
+        let weight = soa.Soa.net_weight.(n) in
         if k <= 4 then begin
           let w = weight /. float_of_int (k - 1) in
           for a = 0 to k - 1 do
             for b = a + 1 to k - 1 do
-              add_edge cells.(a) cells.(b) w
+              add_edge (cell a) (cell b) w
             done
           done
         end
         else begin
           let w = 2.0 *. weight /. float_of_int k in
           for a = 0 to k - 1 do
-            add_edge cells.(a) cells.((a + 1) mod k) w
+            add_edge (cell a) (cell ((a + 1) mod k)) w
           done
         end
       end
@@ -84,4 +87,4 @@ let run_with ~seed ~hypergraph:h (d : Design.t) =
   end
   else { cx; cy; iterations_x = 0; iterations_y = 0 }
 
-let run ?(seed = 1) d = run_with ~seed ~hypergraph:(Dpp_netlist.Hypergraph.build d) d
+let run ?(seed = 1) d = run_with ~seed ~soa:(Soa.of_design d) d

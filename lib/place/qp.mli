@@ -16,10 +16,10 @@ type result = {
   iterations_y : int;
 }
 
-val run_with : seed:int -> hypergraph:Dpp_netlist.Hypergraph.t -> Dpp_netlist.Design.t -> result
-(** The solve over the design's cell<->net adjacency (the flow passes its
-    context's). *)
+val run_with : seed:int -> soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> result
+(** The solve over the cell<->net incidence of [soa], the flat view of
+    the design (the flow passes its context's). *)
 
 val run : ?seed:int -> Dpp_netlist.Design.t -> result
-(** [run ~seed d = run_with ~seed ~hypergraph:(Hypergraph.build d) d];
-    [seed] defaults to 1. *)
+(** [run ~seed d = run_with ~seed ~soa:(Soa.of_design d) d]; [seed]
+    defaults to 1. *)

@@ -18,54 +18,9 @@ type stage = {
 
 type t = { design : string; mode : string; total_s : float; stages : stage list }
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* ----- encoding: records to Json values; [write] streams them through
+   [Json.add_to_buffer], and [of_json] below reads them back ----- *)
 
-let num v = if Float.is_finite v then Printf.sprintf "%.12g" v else "null"
-
-let string_array ss =
-  Printf.sprintf "[%s]" (String.concat "," (List.map (fun s -> "\"" ^ escape s ^ "\"") ss))
-
-let check_to_json c =
-  Printf.sprintf {|{"ok":%b,"oracles":%s,"violations":%s}|} c.ok (string_array c.oracles)
-    (string_array c.violations)
-
-let level_to_json l =
-  Printf.sprintf {|{"index":%d,"movables":%d,"hpwl":%s,"overflow":%s,"wall_s":%s}|} l.index
-    l.movables (num l.hpwl) (num l.overflow) (num l.wall_s)
-
-let stage_to_string s =
-  Printf.sprintf
-    {|{"name":"%s","wall_s":%s,"t_s":%s,"hpwl_before":%s,"hpwl_after":%s,"overflow":%s,"vm_hwm_kb":%d,"heap_kb":%d,"levels":[%s],"check":%s%s}|}
-    (escape s.name) (num s.wall_s) (num s.t_s) (num s.hpwl_before) (num s.hpwl_after)
-    (match s.overflow with Some v -> num v | None -> "null")
-    s.vm_hwm_kb s.heap_kb
-    (String.concat "," (List.map level_to_json s.levels))
-    (match s.check with Some c -> check_to_json c | None -> "null")
-    (String.concat ""
-       (List.map
-          (fun (k, v) -> Printf.sprintf {|,"%s":%s|} (escape k) (Json.encode v))
-          s.extra))
-
-let to_json t =
-  Printf.sprintf {|{"design":"%s","mode":"%s","total_s":%s,"stages":[%s]}|}
-    (escape t.design) (escape t.mode) (num t.total_s)
-    (String.concat "," (List.map stage_to_string t.stages))
-
-(* Structural variant for embedding a stage record inside a larger JSON
-   document (the serve layer's event payload).  Extra fields append after
-   the known ones, mirroring [stage_to_string]. *)
 let stage_to_json s =
   let strs l = Json.Arr (List.map (fun x -> Json.Str x) l) in
   Json.Obj
@@ -99,6 +54,15 @@ let stage_to_json s =
          | None -> Json.Null );
      ]
     @ s.extra)
+
+let to_json t =
+  Json.Obj
+    [
+      "design", Json.Str t.design;
+      "mode", Json.Str t.mode;
+      "total_s", Json.Num t.total_s;
+      "stages", Json.Arr (List.map stage_to_json t.stages);
+    ]
 
 (* ----- parsing (the read side of the event-stream / trace schema) -----
 
@@ -184,14 +148,13 @@ let of_json v =
   | _ -> raise (Json.Parse_error "trace: expected an object")
 
 let write ~path traces =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "[\n";
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_string b ",\n";
+      Json.add_to_buffer b (to_json t))
+    traces;
+  Buffer.add_string b "\n]\n";
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "[\n";
-      List.iteri
-        (fun i t ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc (to_json t))
-        traces;
-      output_string oc "\n]\n")
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc b)

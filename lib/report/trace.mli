@@ -62,7 +62,7 @@ type stage = {
   extra : (string * Json.t) list;
       (** unknown per-stage fields, preserved verbatim so the schema can
           evolve: a producer may attach new keys (the serve layer's event
-          stream does) and [to_json (stage_of_json s)] round-trips them
+          stream does) and [stage_to_json (stage_of_json s)] round-trips them
           instead of erroring.  The flow attaches the Gc deltas
           [gc_minor_mwords]/[gc_major_mwords]/[gc_majors] to every stage,
           [legal_failed] (cells that fit in no row) to legal,
@@ -72,12 +72,14 @@ type stage = {
 
 type t = { design : string; mode : string; total_s : float; stages : stage list }
 
-val to_json : t -> string
-(** One run as a compact JSON object. *)
+val to_json : t -> Json.t
+(** One run as a JSON object (an element of the array {!write} emits);
+    {!of_json} reads it back. *)
 
 val stage_to_json : stage -> Json.t
-(** One stage record as a JSON object — the serve layer's per-stage event
-    payload.  [extra] fields are appended verbatim. *)
+(** One stage record as a JSON object — the encoding {!to_json} uses and
+    the serve layer's per-stage event payload.  [extra] fields are
+    appended verbatim. *)
 
 val stage_of_json : Json.t -> stage
 (** Tolerant stage parser: known fields are decoded ([levels] is accepted

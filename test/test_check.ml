@@ -244,7 +244,7 @@ let test_mutation_uncached_still_caught () =
 let test_trace_schema () =
   let d = check_design () in
   let r = Flow.run ~check:true d baseline_cfg in
-  let json = Json.parse (Trace.to_json (Flow.trace_of_result r)) in
+  let json = Json.parse (Json.encode (Trace.to_json (Flow.trace_of_result r))) in
   let str path v = match Json.member path v with
     | Some s -> Json.to_string s
     | None -> Alcotest.failf "missing %S field" path
@@ -289,7 +289,7 @@ let test_trace_schema () =
 let test_trace_check_null_without_check () =
   let d = check_design () in
   let r = Flow.run d baseline_cfg in
-  let json = Json.parse (Trace.to_json (Flow.trace_of_result r)) in
+  let json = Json.parse (Json.encode (Trace.to_json (Flow.trace_of_result r))) in
   let stages = Json.to_list (Option.get (Json.member "stages" json)) in
   List.iter
     (fun s ->

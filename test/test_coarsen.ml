@@ -7,7 +7,7 @@ module Rect = Dpp_geom.Rect
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
 module Pins = Dpp_wirelen.Pins
-module Hypergraph = Dpp_netlist.Hypergraph
+module Soa = Dpp_netlist.Soa
 module Dgroup = Dpp_structure.Dgroup
 module Coarsen = Dpp_coarsen
 module Gp = Dpp_place.Gp
@@ -27,7 +27,7 @@ let dgroups_of d =
 
 let build_levels ?(seed = 7) d =
   Coarsen.build ~groups:(dgroups_of d) ~min_cells:100 ~max_levels:3 ~seed
-    ~hypergraph:(Hypergraph.build d) d
+    ~soa:(Soa.of_design d) d
 
 let test_levels_pass_integrity_oracle () =
   let d = scaled_design 21 in
@@ -40,6 +40,22 @@ let test_levels_pass_integrity_oracle () =
       | vs ->
         Alcotest.failf "level %d: %s" (k + 1)
           (String.concat "; " (Check.Violation.strings vs)))
+    levels
+
+let test_coarse_soa_describes_coarse () =
+  let d = scaled_design 23 in
+  let levels = build_levels d in
+  Alcotest.(check bool) "coarsening produced levels" true (levels <> []);
+  List.iteri
+    (fun k lvl ->
+      let s = lvl.Coarsen.coarse_soa in
+      (* derived from this very design: the coordinates alias, and the
+         view round-trips to it field for field *)
+      Alcotest.(check bool) (Printf.sprintf "level %d aliases its coarse design" (k + 1)) true
+        (s.Soa.x == lvl.Coarsen.coarse.Design.x);
+      Alcotest.(check bool) (Printf.sprintf "level %d round-trips to its coarse design" (k + 1))
+        true
+        (Soa.to_design s = lvl.Coarsen.coarse))
     levels
 
 let test_groups_never_split () =
@@ -90,7 +106,7 @@ let test_build_deterministic () =
 let test_reduction_without_groups () =
   let d = scaled_design 24 in
   let levels =
-    Coarsen.build ~min_cells:100 ~max_levels:3 ~seed:5 ~hypergraph:(Hypergraph.build d) d
+    Coarsen.build ~min_cells:100 ~max_levels:3 ~seed:5 ~soa:(Soa.of_design d) d
   in
   Alcotest.(check bool) "levels exist" true (levels <> []);
   List.iter
@@ -105,7 +121,7 @@ let test_reduction_without_groups () =
     levels;
   (* below the floor no hierarchy is built *)
   Alcotest.(check (list reject)) "tiny design yields no levels" []
-    (Coarsen.build ~min_cells:100_000 ~seed:5 ~hypergraph:(Hypergraph.build d) d)
+    (Coarsen.build ~min_cells:100_000 ~seed:5 ~soa:(Soa.of_design d) d)
 
 let test_interpolate_group_offsets () =
   let d = scaled_design 25 in
@@ -166,7 +182,7 @@ let test_multilevel_vs_flat_hpwl () =
   let d = scaled_design ~cells:800 27 in
   let levels =
     Coarsen.build ~groups:(dgroups_of d) ~min_cells:150 ~max_levels:2 ~seed:9
-      ~hypergraph:(Hypergraph.build d) d
+      ~soa:(Soa.of_design d) d
   in
   Alcotest.(check bool) "hierarchy engaged" true (levels <> []);
   let qp = Qp.run ~seed:1 d in
@@ -190,17 +206,18 @@ let test_disconnected_falls_back_flat () =
      must return [] — the flat-GP fallback — instead of coarsening dust *)
   let pk, _ = Dpp_gen.Peko.build ~name:"peko_cc" ~cells:4000 () in
   Alcotest.(check int) "flat fallback on disconnected design" 0
-    (List.length (Coarsen.build ~min_cells:500 ~seed:3 ~hypergraph:(Hypergraph.build pk) pk));
+    (List.length (Coarsen.build ~min_cells:500 ~seed:3 ~soa:(Soa.of_design pk) pk));
   (* a connected design of the same scale still coarsens *)
   let d = scaled_design ~cells:900 31 in
   Alcotest.(check bool) "connected design still builds levels" true
-    (Coarsen.build ~min_cells:150 ~max_levels:2 ~seed:3 ~hypergraph:(Hypergraph.build d) d
+    (Coarsen.build ~min_cells:150 ~max_levels:2 ~seed:3 ~soa:(Soa.of_design d) d
     <> [])
 
 let suite =
   [
     Alcotest.test_case "disconnected falls back flat" `Quick test_disconnected_falls_back_flat;
     Alcotest.test_case "levels pass integrity oracle" `Quick test_levels_pass_integrity_oracle;
+    Alcotest.test_case "coarse soa describes coarse" `Quick test_coarse_soa_describes_coarse;
     Alcotest.test_case "dgroups never split" `Quick test_groups_never_split;
     Alcotest.test_case "build deterministic" `Quick test_build_deterministic;
     Alcotest.test_case "reduction without groups" `Quick test_reduction_without_groups;

@@ -105,8 +105,7 @@ let test_netclass_threshold_boundary () =
   ignore (Builder.add_net b pins5);
   ignore (Builder.add_net b pins6);
   let d = Builder.finish b in
-  let h = Dpp_netlist.Hypergraph.build d in
-  let nc = Dpp_extract.Netclass.classify d h ~max_data_degree:5 in
+  let nc = Dpp_extract.Netclass.classify (Dpp_netlist.Soa.of_design d) ~max_data_degree:5 in
   Alcotest.(check bool) "5 cells = data" true (Dpp_extract.Netclass.kind nc 0 = Dpp_extract.Netclass.Data);
   Alcotest.(check bool) "6 cells = control" true
     (Dpp_extract.Netclass.kind nc 1 = Dpp_extract.Netclass.Control)

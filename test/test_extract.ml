@@ -3,7 +3,7 @@
 
 module Design = Dpp_netlist.Design
 module Groups = Dpp_netlist.Groups
-module Hypergraph = Dpp_netlist.Hypergraph
+module Soa = Dpp_netlist.Soa
 module Netclass = Dpp_extract.Netclass
 module Signature = Dpp_extract.Signature
 module Slicer = Dpp_extract.Slicer
@@ -34,8 +34,8 @@ let alu_design () =
 
 let test_netclass () =
   let d = alu_design () in
-  let h = Hypergraph.build d in
-  let nc = Netclass.classify d h ~max_data_degree:5 in
+  let s = Soa.of_design d in
+  let nc = Netclass.classify s ~max_data_degree:5 in
   let counts = Hashtbl.create 4 in
   Array.iteri
     (fun n _ ->
@@ -48,10 +48,10 @@ let test_netclass () =
 
 let test_netclass_bad_degree () =
   let d = alu_design () in
-  let h = Hypergraph.build d in
+  let s = Soa.of_design d in
   Alcotest.(check bool) "degree < 2 rejected" true
     (try
-       ignore (Netclass.classify d h ~max_data_degree:1);
+       ignore (Netclass.classify s ~max_data_degree:1);
        false
      with Invalid_argument _ -> true)
 
@@ -61,9 +61,9 @@ let test_signature_replicas_cohere () =
   (* in a clean adder, interior slices' cells of the same stage must share
      a class: each stage contributes a class of size close to [bits] *)
   let d = adder_design 16 100 in
-  let h = Hypergraph.build d in
-  let nc = Netclass.classify d h ~max_data_degree:5 in
-  let sg = Signature.compute d h nc ~iterations:3 in
+  let s = Soa.of_design d in
+  let nc = Netclass.classify s ~max_data_degree:5 in
+  let sg = Signature.compute d nc ~iterations:3 in
   let truth = List.hd d.Design.groups in
   (* count distinct classes among the adder's first-stage cells *)
   let stage_cells k =
@@ -80,9 +80,9 @@ let test_signature_replicas_cohere () =
 
 let test_signature_fixed_excluded () =
   let d = adder_design 8 50 in
-  let h = Hypergraph.build d in
-  let nc = Netclass.classify d h ~max_data_degree:5 in
-  let sg = Signature.compute d h nc ~iterations:2 in
+  let s = Soa.of_design d in
+  let nc = Netclass.classify s ~max_data_degree:5 in
+  let sg = Signature.compute d nc ~iterations:2 in
   Array.iter
     (fun i -> Alcotest.(check int) "pad has no class" (-1) (Signature.class_of sg i))
     (Design.fixed_ids d)

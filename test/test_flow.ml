@@ -140,7 +140,7 @@ let probe_after name probe stages =
       else [ s ])
     stages
 
-(* The Design-only wrappers derive the hypergraph themselves; the flow's
+(* The Design-only wrappers derive the flat view themselves; the flow's
    stages use the context's.  Both must compute the same thing. *)
 let test_wrappers_agree_with_flow () =
   let d = Compose.build (Option.get (Dpp_gen.Presets.by_name "dp_add32")) in

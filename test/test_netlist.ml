@@ -1,5 +1,4 @@
-(* Tests for Dpp_netlist: Builder, Design, Groups, Validate, Hypergraph,
-   Nstats. *)
+(* Tests for Dpp_netlist: Builder, Design, Groups, Validate, Nstats. *)
 
 module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
@@ -7,7 +6,6 @@ module Builder = Dpp_netlist.Builder
 module Design = Dpp_netlist.Design
 module Groups = Dpp_netlist.Groups
 module Validate = Dpp_netlist.Validate
-module Hypergraph = Dpp_netlist.Hypergraph
 module Nstats = Dpp_netlist.Nstats
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -225,37 +223,6 @@ let test_validate_group_fixed_member () =
   Alcotest.(check bool) "fixed group member is an error" false
     (Validate.is_clean (Validate.check d))
 
-(* ---------------- Hypergraph ---------------- *)
-
-let test_hypergraph_adjacency () =
-  let d = chain_design () in
-  let h = Hypergraph.build d in
-  Alcotest.(check (list int)) "nets of c1" [ 0; 1 ]
-    (Array.to_list (Hypergraph.nets_of_cell h 1));
-  Alcotest.(check (list int)) "cells of n1" [ 1; 2 ]
-    (Array.to_list (Hypergraph.cells_of_net h 1));
-  Alcotest.(check int) "net degree" 2 (Hypergraph.net_degree h 0);
-  Alcotest.(check int) "cell degree" 2 (Hypergraph.cell_degree h 1)
-
-let test_hypergraph_neighbors () =
-  let d = chain_design () in
-  let h = Hypergraph.build d in
-  Alcotest.(check (list int)) "neighbors of c1" [ 0; 2 ]
-    (Hypergraph.neighbors_of_cell h 1 ~max_net_degree:8)
-
-let test_hypergraph_dedup () =
-  (* two pins of the same cell on one net must not duplicate adjacency *)
-  let b = fresh_builder () in
-  let c0 = Builder.add_cell b ~name:"a" ~master:"X" ~w:2.0 ~h:10.0 ~kind:Types.Movable in
-  let c1 = Builder.add_cell b ~name:"b" ~master:"X" ~w:2.0 ~h:10.0 ~kind:Types.Movable in
-  let p1 = Builder.add_pin b ~cell:c0 ~dir:Types.Output () in
-  let p2 = Builder.add_pin b ~cell:c0 ~dir:Types.Input () in
-  let p3 = Builder.add_pin b ~cell:c1 ~dir:Types.Input () in
-  ignore (Builder.add_net b [ p1; p2; p3 ]);
-  let d = Builder.finish b in
-  let h = Hypergraph.build d in
-  Alcotest.(check int) "deduplicated degree" 2 (Hypergraph.net_degree h 0)
-
 (* ---------------- Nstats ---------------- *)
 
 let test_nstats () =
@@ -291,8 +258,5 @@ let suite =
     Alcotest.test_case "validate overfull" `Quick test_validate_overfull;
     Alcotest.test_case "validate tall cell" `Quick test_validate_tall_cell;
     Alcotest.test_case "validate fixed group member" `Quick test_validate_group_fixed_member;
-    Alcotest.test_case "hypergraph adjacency" `Quick test_hypergraph_adjacency;
-    Alcotest.test_case "hypergraph neighbors" `Quick test_hypergraph_neighbors;
-    Alcotest.test_case "hypergraph dedup" `Quick test_hypergraph_dedup;
     Alcotest.test_case "nstats" `Quick test_nstats;
   ]

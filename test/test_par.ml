@@ -331,9 +331,8 @@ let test_backend_stages_worker_count_independent () =
     Pool.with_pool ~nworkers:w @@ fun pool ->
     let pins = Pins.build d in
     let legal = Dpp_place.Legal.run d ~pool ~soa:pins.Pins.soa ~cx ~cy () in
-    let h = Dpp_netlist.Hypergraph.build d in
     let nb = Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
-    ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~hypergraph:h ~legal ());
+    ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~legal ());
     let stats = Dpp_place.Flip.run d ~pool ~netbox:nb () in
     ( Array.copy legal.Dpp_place.Legal.assignment,
       Array.copy legal.Dpp_place.Legal.cx,

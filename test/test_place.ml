@@ -8,7 +8,6 @@ module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
 module Netbox = Dpp_wirelen.Netbox
 module Soa = Dpp_netlist.Soa
-module Hypergraph = Dpp_netlist.Hypergraph
 module Qp = Dpp_place.Qp
 module Gp = Dpp_place.Gp
 module Legal = Dpp_place.Legal
@@ -235,7 +234,7 @@ let test_detail_improves_and_stays_legal () =
   let pins = Pins.build d in
   let before = Hpwl.total pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
   let netbox = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  let stats = Detail.run d ~max_passes:3 ~netbox ~hypergraph:(Hypergraph.build d) ~legal () in
+  let stats = Detail.run d ~max_passes:3 ~netbox ~legal () in
   let after = Hpwl.total pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
   ignore gp;
   Alcotest.(check bool) "hpwl not worse" true (after <= before +. 1e-6);
@@ -252,7 +251,7 @@ let test_detail_skip_frozen () =
   let frozen = Array.copy legal.Legal.cx in
   let skip i = i mod 7 = 0 in
   let netbox = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  ignore (Detail.run d ~max_passes:2 ~skip ~netbox ~hypergraph:(Hypergraph.build d) ~legal ());
+  ignore (Detail.run d ~max_passes:2 ~skip ~netbox ~legal ());
   Array.iter
     (fun i ->
       if skip i && legal.Legal.assignment.(i) >= 0 then
@@ -399,7 +398,7 @@ let test_swap_requires_exact_footprint () =
   let pins = Pins.build d in
   let legal = Legal.run d ~soa:pins.Pins.soa ~cx ~cy () in
   let netbox = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  ignore (Detail.run d ~max_passes:2 ~netbox ~hypergraph:(Hypergraph.build d) ~legal ());
+  ignore (Detail.run d ~max_passes:2 ~netbox ~legal ());
   (* the move pass may relocate p and q legally; what the old quantized
      bucket did was *swap* their footprints, sliding the wider q into r *)
   ignore p;
@@ -428,7 +427,7 @@ let test_detail_skips_tall_cells () =
      caller without the flow's macro handling would *)
   let legal = { Legal.assignment = Array.make nc 0; cx; cy; failed = [] } in
   let netbox = Netbox.build (Pins.build d) ~cx ~cy in
-  ignore (Detail.run d ~max_passes:2 ~netbox ~hypergraph:(Hypergraph.build d) ~legal ());
+  ignore (Detail.run d ~max_passes:2 ~netbox ~legal ());
   Alcotest.(check (float 1e-12)) "tall cell x untouched" 2.0 legal.Legal.cx.(t);
   Alcotest.(check (float 1e-12)) "tall cell y untouched" 10.0 legal.Legal.cy.(t);
   let stats = Dpp_place.Flip.run d ~netbox () in

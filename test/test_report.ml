@@ -118,6 +118,45 @@ let test_trace_unknown_field_roundtrip () =
   Alcotest.(check bool) "extras survive re-encode" true (s'.Trace.extra = s.Trace.extra);
   Alcotest.(check bool) "stage equal after roundtrip" true (s' = s)
 
+(* The file writer and the reader agree on the whole record: levels, a
+   check verdict and extras included (values exact under %.12g). *)
+let test_trace_write_roundtrip () =
+  let module Trace = Dpp_report.Trace in
+  let gp =
+    {
+      Trace.name = "gp";
+      wall_s = 1.5;
+      t_s = 2.25;
+      hpwl_before = 1234.5;
+      hpwl_after = 987.25;
+      overflow = Some 0.125;
+      vm_hwm_kb = 51200;
+      heap_kb = 20480;
+      levels =
+        [
+          { Trace.index = 1; movables = 300; hpwl = 800.5; overflow = 0.25; wall_s = 0.5 };
+          { Trace.index = 2; movables = 120; hpwl = 700.0; overflow = 0.375; wall_s = 0.25 };
+        ];
+      check = Some { Trace.ok = false; oracles = [ "legal"; "netbox" ]; violations = [ "a \"b\"" ] };
+      extra = [ "legal_failed", Json.Num 3.0; "note", Json.Str "x\ny" ];
+    }
+  in
+  let metrics =
+    { gp with Trace.name = "metrics"; overflow = None; levels = []; check = None; extra = [] }
+  in
+  let runs =
+    [
+      { Trace.design = "d1"; mode = "structure-aware"; total_s = 4.5; stages = [ gp; metrics ] };
+      { Trace.design = "d2"; mode = "baseline"; total_s = 0.75; stages = [] };
+    ]
+  in
+  let path = Filename.temp_file "dpp_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace.write ~path runs;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let back = List.map Trace.of_json (Json.to_list (Json.parse text)) in
+  Alcotest.(check bool) "write -> parse -> of_json is the identity" true (back = runs)
+
 let suite =
   [
     Alcotest.test_case "table render" `Quick test_table_render;
@@ -131,4 +170,5 @@ let suite =
     Alcotest.test_case "json nested" `Quick test_json_nested;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "trace unknown-field roundtrip" `Quick test_trace_unknown_field_roundtrip;
+    Alcotest.test_case "trace write roundtrip" `Quick test_trace_write_roundtrip;
   ]

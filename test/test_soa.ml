@@ -1,11 +1,13 @@
 (* Tests for the flat SoA netlist core: the of_design/to_design round
-   trip, CSR adjacency invariants, the x/y/orient aliasing contract, and
+   trip, CSR adjacency invariants (pins and the deduplicated cell<->net
+   incidence), the x/y/orient aliasing contract, and
    bit-identity of every SoA kernel against the preserved record-path
    implementations in Dpp_refkernels — on each benchmark preset, with the
    pooled kernels checked at 1/2/4 worker domains. *)
 
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
+module Builder = Dpp_netlist.Builder
 module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
@@ -92,6 +94,86 @@ let test_csr_consistency () =
           pins
       done)
     (designs_under_test ())
+
+(* ----- deduplicated cell<->net incidence ----- *)
+
+let cells_of_net s n =
+  let acc = ref [] in
+  Soa.iter_cells_of_net s n (fun c -> acc := c :: !acc);
+  List.rev !acc
+
+let nets_of_cell s i =
+  let acc = ref [] in
+  Soa.iter_nets_of_cell s i (fun n -> acc := n :: !acc);
+  List.rev !acc
+
+let small_builder () =
+  let die = Dpp_geom.Rect.make ~xl:0.0 ~yl:0.0 ~xh:100.0 ~yh:50.0 in
+  Builder.create ~name:"t" ~die ~row_height:10.0 ~site_width:1.0 ()
+
+let test_cell_net_adjacency () =
+  (* three inverters in a chain, the last driving a pad: n0 = c0->c1,
+     n1 = c1->c2, n2 = c2->pad *)
+  let b = small_builder () in
+  let inv name =
+    let id = Builder.add_cell b ~name ~master:"INV" ~w:2.0 ~h:10.0 ~kind:Types.Movable in
+    let i = Builder.add_pin b ~cell:id ~dir:Types.Input () in
+    let o = Builder.add_pin b ~cell:id ~dir:Types.Output () in
+    i, o
+  in
+  let _, o0 = inv "c0" in
+  let i1, o1 = inv "c1" in
+  let i2, o2 = inv "c2" in
+  let pad = Builder.add_cell b ~name:"pad0" ~master:"PAD" ~w:1.0 ~h:1.0 ~kind:Types.Pad in
+  let pad_pin = Builder.add_pin b ~cell:pad ~dir:Types.Input () in
+  ignore (Builder.add_net b [ o0; i1 ]);
+  ignore (Builder.add_net b [ o1; i2 ]);
+  ignore (Builder.add_net b [ o2; pad_pin ]);
+  let s = Soa.of_design (Builder.finish b) in
+  Alcotest.(check (list int)) "nets of c1" [ 0; 1 ] (nets_of_cell s 1);
+  Alcotest.(check (list int)) "cells of n1" [ 1; 2 ] (cells_of_net s 1);
+  Alcotest.(check (list int)) "nets of the pad" [ 2 ] (nets_of_cell s 3);
+  Alcotest.(check int) "net cell count" 2 (Soa.net_cell_count s 0)
+
+let test_cell_net_dedup () =
+  (* two pins of the same cell on one net must not duplicate adjacency *)
+  let b = small_builder () in
+  let c0 = Builder.add_cell b ~name:"a" ~master:"X" ~w:2.0 ~h:10.0 ~kind:Types.Movable in
+  let c1 = Builder.add_cell b ~name:"b" ~master:"X" ~w:2.0 ~h:10.0 ~kind:Types.Movable in
+  let p1 = Builder.add_pin b ~cell:c1 ~dir:Types.Output () in
+  let p2 = Builder.add_pin b ~cell:c0 ~dir:Types.Input () in
+  let p3 = Builder.add_pin b ~cell:c1 ~dir:Types.Input () in
+  ignore (Builder.add_net b [ p1; p2; p3 ]);
+  let s = Soa.of_design (Builder.finish b) in
+  Alcotest.(check int) "pin degree" 3 (Soa.net_degree s 0);
+  Alcotest.(check int) "deduplicated degree" 2 (Soa.net_cell_count s 0);
+  Alcotest.(check (list int)) "cells ascending, once each" [ 0; 1 ] (cells_of_net s 0);
+  Alcotest.(check (list int)) "net listed once" [ 0 ] (nets_of_cell s 1)
+
+(* The CSR against a from-records derivation: each net's pin cells,
+   sorted and deduplicated; and each cell's nets are exactly the nets
+   listing it, ascending. *)
+let prop_cell_net_matches_records =
+  QCheck.Test.make ~name:"cell-net csr matches the records" ~count:40 QCheck.small_int
+    (fun seed ->
+      let d = Fuzz.random_design ~seed ~cells:(60 + (seed mod 90)) ~nets:40 in
+      let s = Soa.of_design d in
+      let expected =
+        Array.map
+          (fun (net : Types.net) ->
+            List.sort_uniq compare
+              (Array.to_list (Array.map (fun p -> (Design.pin d p).Types.p_cell) net.Types.n_pins)))
+          d.Design.nets
+      in
+      let nets = List.init (Design.num_nets d) Fun.id in
+      List.for_all
+        (fun n ->
+          cells_of_net s n = expected.(n)
+          && Soa.net_cell_count s n = List.length expected.(n))
+        nets
+      && List.for_all
+           (fun i -> nets_of_cell s i = List.filter (fun n -> List.mem i expected.(n)) nets)
+           (List.init (Design.num_cells d) Fun.id))
 
 (* ----- kernel equivalence vs the record path ----- *)
 
@@ -267,6 +349,9 @@ let suite =
       test_roundtrip_shares_nothing;
     Alcotest.test_case "x/y aliasing contract" `Quick test_aliasing_contract;
     Alcotest.test_case "csr adjacency consistent" `Quick test_csr_consistency;
+    Alcotest.test_case "cell net adjacency" `Quick test_cell_net_adjacency;
+    Alcotest.test_case "cell net dedup" `Quick test_cell_net_dedup;
+    QCheck_alcotest.to_alcotest prop_cell_net_matches_records;
     Alcotest.test_case "kernels bit-identical to record path" `Quick
       test_kernels_match_record_path;
     Alcotest.test_case "pooled kernels at jobs 1/2/4" `Quick test_kernels_jobs_1_2_4;

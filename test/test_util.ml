@@ -1,4 +1,4 @@
-(* Tests for Dpp_util: Rng, Union_find, Heap, Statx, Dyn, Csvout, Timer. *)
+(* Tests for Dpp_util: Rng, Union_find, Heap, Statx, Dyn, Csvout. *)
 
 module Rng = Dpp_util.Rng
 module Union_find = Dpp_util.Union_find
@@ -6,7 +6,6 @@ module Heap = Dpp_util.Heap
 module Statx = Dpp_util.Statx
 module Dyn = Dpp_util.Dyn
 module Csvout = Dpp_util.Csvout
-module Timer = Dpp_util.Timer
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -246,23 +245,6 @@ let test_csv_write_read () =
   Alcotest.(check string) "header" "h1,h2" l1;
   Alcotest.(check string) "row" "1,\"x,y\"" l2
 
-(* ---------------- Timer ---------------- *)
-
-let test_timer () =
-  let t = Timer.create () in
-  let x = Timer.time t "stage_a" (fun () -> 41 + 1) in
-  Alcotest.(check int) "result passes through" 42 x;
-  Alcotest.(check bool) "recorded" true (Timer.get t "stage_a" >= 0.0);
-  ignore (Timer.time t "stage_a" (fun () -> ()));
-  Alcotest.(check int) "stages listed once" 1 (List.length (Timer.stages t));
-  Timer.reset t;
-  Alcotest.(check int) "reset" 0 (List.length (Timer.stages t))
-
-let test_timer_exception () =
-  let t = Timer.create () in
-  (try Timer.time t "boom" (fun () -> failwith "x") with Failure _ -> ());
-  Alcotest.(check bool) "recorded despite exception" true (Timer.get t "boom" >= 0.0)
-
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -295,6 +277,4 @@ let suite =
     QCheck_alcotest.to_alcotest test_dyn_roundtrip;
     Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
     Alcotest.test_case "csv write/read" `Quick test_csv_write_read;
-    Alcotest.test_case "timer" `Quick test_timer;
-    Alcotest.test_case "timer exception" `Quick test_timer_exception;
   ]
