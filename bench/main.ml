@@ -1,13 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the
-   (reconstructed) evaluation, plus Bechamel micro-benchmarks of the
-   computational kernels.
+   (reconstructed) evaluation, plus the engine benchmarks behind the
+   committed BENCH_*.json files.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- -e T3   -- one experiment
      dune exec bench/main.exe -- -l      -- list experiment ids
 
-   Experiment ids: T1 T2 T3 T4 T5 T6 F1 F2 F3 F4 F5 BM (see
-   EXPERIMENTS.md). *)
+   Experiment ids: T1 T2 T3 T4 T5 T6 F1 F2 F3 F4 F5 DP PAR LG ML RT XL SRV
+   (see EXPERIMENTS.md). *)
 
 module Experiment = Dpp_core.Experiment
 module Series = Dpp_report.Series
@@ -17,83 +17,16 @@ let say fmt = Printf.printf (fmt ^^ "\n%!")
 let rule () = say "%s" (String.make 78 '=')
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
+(* Detailed-placement move-evaluation microbenchmark                   *)
 (* ------------------------------------------------------------------ *)
 
+(* the 2k-cell design the DP and PAR microbenchmarks share *)
 let micro_design =
   lazy
     (let spec =
        Dpp_gen.Presets.scaled ~name:"micro" ~seed:42 ~cells:2000 ~dp_fraction:0.5
      in
      Dpp_gen.Compose.build spec)
-
-let micro_tests () =
-  let open Bechamel in
-  let d = Lazy.force micro_design in
-  let pins = Dpp_wirelen.Pins.build d in
-  let cx, cy = Dpp_wirelen.Pins.centers_of_design d in
-  let n = Dpp_netlist.Design.num_cells d in
-  let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  let grid = Dpp_density.Grid.build d ~nx:24 ~ny:24 in
-  let bell = Dpp_density.Bell.create d ~grid ~target_density:0.9 in
-  let lse =
-    Test.make ~name:"lse-value-grad" (Staged.stage (fun () ->
-        Array.fill gx 0 n 0.0;
-        Array.fill gy 0 n 0.0;
-        ignore (Dpp_wirelen.Lse.value_grad pins ~gamma:5.0 ~cx ~cy ~gx ~gy)))
-  in
-  let wa =
-    Test.make ~name:"wa-value-grad" (Staged.stage (fun () ->
-        Array.fill gx 0 n 0.0;
-        Array.fill gy 0 n 0.0;
-        ignore (Dpp_wirelen.Wa.value_grad pins ~gamma:5.0 ~cx ~cy ~gx ~gy)))
-  in
-  let hpwl =
-    Test.make ~name:"hpwl-total" (Staged.stage (fun () ->
-        ignore (Dpp_wirelen.Hpwl.total pins ~cx ~cy)))
-  in
-  let density =
-    Test.make ~name:"bell-value-grad" (Staged.stage (fun () ->
-        Array.fill gx 0 n 0.0;
-        Array.fill gy 0 n 0.0;
-        ignore (Dpp_density.Bell.value_grad bell ~cx ~cy ~gx ~gy)))
-  in
-  let extract =
-    Test.make ~name:"extraction" (Staged.stage (fun () ->
-        ignore (Dpp_extract.Slicer.run d Dpp_extract.Slicer.default_config)))
-  in
-  let qp =
-    Test.make ~name:"quadratic-init" (Staged.stage (fun () ->
-        ignore (Dpp_place.Qp.run ~seed:1 d)))
-  in
-  [ lse; wa; hpwl; density; extract; qp ]
-
-let run_micro () =
-  let open Bechamel in
-  say "BM: kernel micro-benchmarks (Bechamel; ~1s per kernel)";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 200) () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
-      in
-      let analyzed =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true
-                       ~predictors:[| Measure.run |])
-          (Toolkit.Instance.monotonic_clock) results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> say "  %-24s %12.0f ns/run" name est
-          | Some _ | None -> say "  %-24s (no estimate)" name)
-        analyzed)
-    (micro_tests ())
-
-(* ------------------------------------------------------------------ *)
-(* Detailed-placement move-evaluation microbenchmark                   *)
-(* ------------------------------------------------------------------ *)
 
 (* Same candidate cross-row swaps evaluated two ways: the Netbox
    incremental delta (what Detail/Flip now run on) against the classical
@@ -1269,7 +1202,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("F3", "beta ablation", fun () -> Series.print (Experiment.figure3 ()));
     ("F4", "runtime scaling", fun () -> Series.print (Experiment.figure4 ()));
     ("F5", "extraction noise robustness", fun () -> Series.print (Experiment.figure5 ()));
-    ("BM", "kernel micro-benchmarks", run_micro);
     ("DP", "detailed-placement move-evaluation microbenchmark", run_detail_bench);
     ("PAR", "domain-parallel kernel sweep (1/2/4/8 worker domains)", run_par_bench);
     ( "LG",

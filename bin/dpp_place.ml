@@ -34,15 +34,55 @@ let load ~preset ~bookshelf =
   | Some _, Some _ -> Error "give either --preset or --bookshelf, not both"
   | None, None -> Error "give --preset <name> or --bookshelf <basename>"
 
-let run verbose preset bookshelf mode beta density seed jobs multilevel flat routability out
-    svg compare trace check =
-  setup_logs verbose;
-  match if multilevel && flat then Error "give either --multilevel or --flat, not both"
-        else load ~preset ~bookshelf with
+let ( let* ) = Result.bind
+
+let parse_mode = function
+  | "baseline" | "base" -> Ok Dpp_core.Config.Baseline
+  | "sa" | "structure-aware" -> Ok Dpp_core.Config.Structure_aware
+  | other -> Error (Printf.sprintf "--mode %s: unknown mode (expected baseline or sa)" other)
+
+(* a missing output directory is caught before placing, not after the
+   whole flow has run *)
+let check_parent flag = function
+  | None -> Ok ()
+  | Some path ->
+    let dir = Filename.dirname path in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok ()
+    else Error (Printf.sprintf "%s %s: no such directory %s" flag path dir)
+
+(* the write behind an optional output [flag], confirmed on stdout; it can
+   still fail after the up-front check (permissions, a full disk) *)
+let write flag path ~confirm f =
+  match path with
+  | None -> Ok ()
+  | Some path -> (
+    match f path with
+    | () -> Ok (print_endline (confirm path))
+    | exception Sys_error msg -> Error (Printf.sprintf "%s %s: %s" flag path msg))
+
+let exit_code = function
+  | Ok () -> 0
   | Error msg ->
     Printf.eprintf "error: %s\n" msg;
     1
-  | Ok design -> (
+
+let run verbose preset bookshelf mode beta density seed jobs multilevel flat routability out
+    svg compare trace check =
+  setup_logs verbose;
+  let setup =
+    let* () =
+      if multilevel && flat then Error "give either --multilevel or --flat, not both" else Ok ()
+    in
+    let* mode = parse_mode mode in
+    let* () = check_parent "--out" out in
+    let* () = check_parent "--trace" trace in
+    let* () = check_parent "--svg" svg in
+    let* design = load ~preset ~bookshelf in
+    Ok (mode, design)
+  in
+  match setup with
+  | Error msg -> exit_code (Error msg)
+  | Ok (mode, design) -> (
     let ml_mode =
       if multilevel then Dpp_core.Config.Ml_on
       else if flat then Dpp_core.Config.Ml_off
@@ -51,7 +91,8 @@ let run verbose preset bookshelf mode beta density seed jobs multilevel flat rou
     let cfg =
       {
         Dpp_core.Config.structure_aware with
-        Dpp_core.Config.beta;
+        Dpp_core.Config.mode;
+        beta;
         target_density = density;
         seed;
         jobs;
@@ -92,11 +133,8 @@ let run verbose preset bookshelf mode beta density seed jobs multilevel flat rou
         r.Dpp_core.Flow.stage_trace
     in
     let write_trace results =
-      match trace with
-      | None -> ()
-      | Some path ->
-        Dpp_report.Trace.write ~path (List.map Dpp_core.Flow.trace_of_result results);
-        Printf.printf "stage trace written to %s\n" path
+      write "--trace" trace ~confirm:(Printf.sprintf "stage trace written to %s") (fun path ->
+          Dpp_report.Trace.write ~path (List.map Dpp_core.Flow.trace_of_result results))
     in
     try
       if compare then begin
@@ -105,37 +143,22 @@ let run verbose preset bookshelf mode beta density seed jobs multilevel flat rou
         report "structure-aware" sa;
         Printf.printf "HPWL ratio (sa/base): %.4f\n"
           (sa.Dpp_core.Flow.hpwl_final /. base.Dpp_core.Flow.hpwl_final);
-        write_trace [ base; sa ];
-        0
+        exit_code (write_trace [ base; sa ])
       end
       else begin
-        let cfg =
-          match mode with
-          | "baseline" | "base" -> { cfg with Dpp_core.Config.mode = Dpp_core.Config.Baseline }
-          | "sa" | "structure-aware" ->
-            { cfg with Dpp_core.Config.mode = Dpp_core.Config.Structure_aware }
-          | other ->
-            Printf.eprintf "unknown mode %S, using structure-aware\n" other;
-            cfg
-        in
         let r = Dpp_core.Flow.run ~check design cfg in
-        report (Dpp_core.Config.mode_to_string r.Dpp_core.Flow.config.Dpp_core.Config.mode) r;
-        write_trace [ r ];
-        (match out with
-        | Some base ->
-          Dpp_netlist.Bookshelf.write r.Dpp_core.Flow.design ~basename:base;
-          Printf.printf "placement written to %s.*\n" base
-        | None -> ());
-        (match svg with
-        | Some path ->
-          let placed =
-            Dpp_netlist.Design.with_groups r.Dpp_core.Flow.design r.Dpp_core.Flow.groups_used
-          in
-          Dpp_viz.Plot.placement ~title:(Dpp_core.Config.mode_to_string cfg.Dpp_core.Config.mode)
-            placed ~path;
-          Printf.printf "plot written to %s\n" path
-        | None -> ());
-        0
+        report (Dpp_core.Config.mode_to_string mode) r;
+        exit_code
+          (let* () = write_trace [ r ] in
+           let* () =
+             write "--out" out ~confirm:(Printf.sprintf "placement written to %s.*")
+               (fun basename -> Dpp_netlist.Bookshelf.write r.Dpp_core.Flow.design ~basename)
+           in
+           write "--svg" svg ~confirm:(Printf.sprintf "plot written to %s") (fun path ->
+               let placed =
+                 Dpp_netlist.Design.with_groups r.Dpp_core.Flow.design r.Dpp_core.Flow.groups_used
+               in
+               Dpp_viz.Plot.placement ~title:(Dpp_core.Config.mode_to_string mode) placed ~path))
       end
     with
     | Dpp_core.Flow.Invalid_design issues ->

@@ -21,7 +21,7 @@ let setup_logs verbose =
 
 let daemon verbose socket workers queue spool =
   setup_logs verbose;
-  let cfg = { Server.default_cfg with Server.workers; queue; spool } in
+  let cfg = { Server.workers; queue; spool } in
   let t = Server.create ~cfg () in
   let resumed = Server.resume t in
   if resumed <> [] then

@@ -54,12 +54,12 @@ let () =
       groups = dgroups;
     }
   in
-  let gp =
-    Dpp_place.Gp.run ~pins d gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy
-      ~on_round:(fun ri ->
-        Format.printf "  round %2d: hpwl %.0f overflow %.3f align %.2f@." ri.Dpp_place.Gp.round
-          ri.Dpp_place.Gp.hpwl ri.Dpp_place.Gp.overflow ri.Dpp_place.Gp.align_error)
-  in
+  let gp = Dpp_place.Gp.run ~pins d gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
+  List.iter
+    (fun (ri : Dpp_place.Gp.round_info) ->
+      Format.printf "  round %2d: hpwl %.0f overflow %.3f align %.2f@." ri.Dpp_place.Gp.round
+        ri.Dpp_place.Gp.hpwl ri.Dpp_place.Gp.overflow ri.Dpp_place.Gp.align_error)
+    gp.Dpp_place.Gp.trace;
   (* 4. legalize + refine *)
   let legal =
     Dpp_place.Legal.run d ~soa ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy ()

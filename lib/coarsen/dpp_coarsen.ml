@@ -47,7 +47,7 @@ let scratch_ints ?arena key n =
 let scratch_floats ?arena key n =
   match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
 
-let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~(soa : Soa.t) (fine : Design.t) =
+let coarsen_once ?arena ~rng ~groups ~protect ~(soa : Soa.t) (fine : Design.t) =
   let nc = Design.num_cells fine in
   let cluster_of = Array.make nc (-1) in
   let next = ref 0 in
@@ -92,7 +92,8 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor ~(soa : Soa.t) (f
       Array.fold_left (fun acc i -> acc +. cell_area fine i) 0.0 movable
       /. float_of_int (Array.length movable)
   in
-  let area_cap = area_cap_factor *. mean_area in
+  (* a merged cluster stays within 4x the level's mean movable-cell area *)
+  let area_cap = 4.0 *. mean_area in
   let order = Array.copy free in
   Rng.shuffle rng order;
   let protected_src = Array.make nc false in
@@ -292,8 +293,8 @@ let largest_movable_component (s : Soa.t) =
     !best
   end
 
-let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
-    ?(area_cap_factor = 4.0) ~seed ~soa (root : Design.t) =
+let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3) ~seed ~soa
+    (root : Design.t) =
   let rng = Rng.create (seed lxor 0x436f6172) in
   (* the root's flat view is the caller's; each level derives its coarse
      design's once and the next depth coarsens over it *)
@@ -302,7 +303,7 @@ let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
     if depth >= max_levels || n_mov <= min_cells then List.rev acc
     else begin
       let lvl =
-        coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~area_cap_factor ~soa fine
+        coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~soa fine
       in
       let n_coarse = Array.length (Design.movable_ids lvl.coarse) in
       Log.info (fun m ->

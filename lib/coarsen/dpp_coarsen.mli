@@ -38,7 +38,6 @@ val build :
   ?groups:Dpp_structure.Dgroup.t list ->
   ?min_cells:int ->
   ?max_levels:int ->
-  ?area_cap_factor:float ->
   seed:int ->
   soa:Dpp_netlist.Soa.t ->
   Dpp_netlist.Design.t ->
@@ -51,12 +50,12 @@ val build :
     protected singletons).  Stops when the coarse design has at most
     [min_cells] movables (default 500), after [max_levels] levels
     (default 3), or when a level shrinks the movable count by less than
-    10%.  [area_cap_factor] (default 4.0) bounds a merged cluster's area
-    to that multiple of the level's mean movable-cell area.  Returns
-    [[]] when the design is already at or below the floor, or when its
-    largest connected component of movable cells is itself at or below
-    [min_cells] — a PEKO-style dust of tiny islands where heavy-edge
-    matching degenerates; flat GP is the better start there. *)
+    10%.  A merged cluster's area stays within 4x the level's mean
+    movable-cell area.  Returns [[]] when the design is already at or
+    below the floor, or when its largest connected component of movable
+    cells is itself at or below [min_cells] — a PEKO-style dust of tiny
+    islands where heavy-edge matching degenerates; flat GP is the better
+    start there. *)
 
 val cluster_centers :
   ?arena:Dpp_util.Arena.t ->

@@ -1,75 +1,60 @@
 type mode = Baseline | Structure_aware
 
-type group_source = Extracted | Ground_truth
-
 type structure_style = Rigid_macros | Soft_alignment
 
 type ml_mode = Ml_auto | Ml_on | Ml_off
 
 type t = {
   mode : mode;
-  group_source : group_source;
   structure : structure_style;
-  model : Dpp_wirelen.Model.kind;
   target_density : float;
   beta : float;
   min_coupling : float;
   max_slice_span : float;
   gp_rounds : int;
   gp_inner_iters : int;
-  overflow_target : float;
   detail_passes : int;
-  extract : Dpp_extract.Slicer.config;
   seed : int;
   jobs : int;
   multilevel : ml_mode;
-  ml_threshold : int;
   ml_min_cells : int;
   ml_max_levels : int;
   routability : bool;
   rt_interval : int;
-  rt_overflow : float;
-  rt_max_inflate : float;
 }
 
 let baseline =
   {
     mode = Baseline;
-    group_source = Extracted;
     structure = Rigid_macros;
-    model = Dpp_wirelen.Model.Lse;
     target_density = 0.9;
     beta = 1.0;
     min_coupling = 0.7;
     max_slice_span = 1.5;
     gp_rounds = 30;
     gp_inner_iters = 60;
-    overflow_target = 0.08;
     detail_passes = 3;
-    extract = Dpp_extract.Slicer.default_config;
     seed = 1;
     jobs = 1;
     multilevel = Ml_auto;
-    ml_threshold = 1500;
     ml_min_cells = 500;
     ml_max_levels = 3;
     routability = false;
     rt_interval = 3;
-    rt_overflow = 1.0;
-    rt_max_inflate = 0.15;
   }
 
 let structure_aware = { baseline with mode = Structure_aware }
+
+(* [Ml_auto] cut-over, in movable cells *)
+let ml_threshold = 1500
 
 let multilevel_enabled t ~movables =
   match t.multilevel with
   | Ml_on -> true
   | Ml_off -> false
-  | Ml_auto -> movables > t.ml_threshold
+  | Ml_auto -> movables > ml_threshold
 
-let with_mode mode t = { t with mode }
 let with_structure structure t = { t with structure }
 let with_beta beta t = { t with beta }
-let with_model model t = { t with model }
 
 let mode_to_string = function Baseline -> "baseline" | Structure_aware -> "structure-aware"

@@ -3,13 +3,14 @@
     [Baseline] is the structure-oblivious analytical placer (standing in
     for NTUplace3); [Structure_aware] is the paper's flow: extraction,
     alignment forces in GP, group snapping, structure-preserving
-    legalization and detailed placement. *)
+    legalization and detailed placement.
+
+    What the record does not carry is fixed: extraction runs
+    {!Dpp_extract.Slicer.default_config}, and GP takes its wirelength
+    model (LSE), overflow target (0.08) and congestion thresholds from
+    {!Dpp_place.Gp.default_config}. *)
 
 type mode = Baseline | Structure_aware
-
-type group_source =
-  | Extracted  (** run the datapath extractor (the paper's flow) *)
-  | Ground_truth  (** use the generator's labels (oracle ablation) *)
 
 type structure_style =
   | Rigid_macros
@@ -20,15 +21,13 @@ type structure_style =
           the ablation mode (and what oversized groups fall back to) *)
 
 type ml_mode =
-  | Ml_auto  (** multilevel GP when the design has more than [ml_threshold] movables *)
+  | Ml_auto  (** multilevel GP when the design has more than 1500 movables *)
   | Ml_on
   | Ml_off
 
 type t = {
   mode : mode;
-  group_source : group_source;
   structure : structure_style;
-  model : Dpp_wirelen.Model.kind;
   target_density : float;
   beta : float;  (** alignment weight knob (dimensionless, 1.0 nominal) *)
   min_coupling : float;
@@ -39,18 +38,15 @@ type t = {
           not constrained (butterfly wiring; default 1.5) *)
   gp_rounds : int;
   gp_inner_iters : int;
-  overflow_target : float;
   detail_passes : int;
-  extract : Dpp_extract.Slicer.config;
   seed : int;
   jobs : int;
       (** worker domains for the cost kernels (default 1).  The placement
           trajectory is independent of this value — see [Dpp_par.Pool]. *)
   multilevel : ml_mode;
       (** multilevel (coarsen → place → interpolate → refine) global
-          placement; [Ml_auto] (the default) turns it on above
-          [ml_threshold] movable cells *)
-  ml_threshold : int;  (** [Ml_auto] cut-over, in movable cells (default 1500) *)
+          placement; [Ml_auto] (the default) turns it on above 1500
+          movable cells *)
   ml_min_cells : int;
       (** coarsening stops once a level has at most this many movables
           (default 500) *)
@@ -61,27 +57,18 @@ type t = {
           penalty to the gradient — see {!Dpp_place.Gp.config}.  Off by
           default; deterministic at every [jobs] value. *)
   rt_interval : int;  (** GP rounds between congestion steering updates (default 3) *)
-  rt_overflow : float;
-      (** RUDY bin demand/supply ratio treated as congested (default 1.0) *)
-  rt_max_inflate : float;
-      (** total virtual-area budget as a fraction of movable area
-          (default 0.15) *)
 }
 
 val baseline : t
-(** LSE, density 0.9, 30 rounds x 60 iterations, overflow 0.08, 3 detail
-    passes, seed 1. *)
+(** Density 0.9, 30 rounds x 60 iterations, 3 detail passes, seed 1. *)
 
 val structure_aware : t
-(** [baseline] with [mode = Structure_aware], [beta = 1.0], extracted
-    groups. *)
+(** [baseline] with [mode = Structure_aware], [beta = 1.0]. *)
 
 val multilevel_enabled : t -> movables:int -> bool
 (** Whether a design with that many movable cells runs the multilevel
     V-cycle under this configuration. *)
 
-val with_mode : mode -> t -> t
 val with_structure : structure_style -> t -> t
 val with_beta : float -> t -> t
-val with_model : Dpp_wirelen.Model.kind -> t -> t
 val mode_to_string : mode -> string

@@ -61,12 +61,13 @@ type t = {
   mutable gp : Dpp_place.Gp.result option;
   mutable ml_levels : Dpp_coarsen.level list;
       (** the coarsening hierarchy the gp stage ran on ([[]] = flat GP);
-          kept for the cluster-integrity oracle and the trace *)
+          read by the gp-boundary cluster-integrity oracle, then cleared
+          by the snap stage so the coarse designs and their views are
+          not live through legalization, detail and metrics *)
   mutable gp_levels : Dpp_place.Gp.level_info list;
       (** per-level V-cycle solve records, ascending level order *)
   mutable detail_stats : Dpp_place.Detail.stats option;
   mutable flip_stats : Dpp_place.Flip.stats option;
-  mutable hpwl_init : float;
   mutable hpwl_legal : float;
   mutable steiner_final : float;
   mutable congestion : Dpp_congest.Rudy.stats option;

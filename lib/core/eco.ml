@@ -249,7 +249,7 @@ let row_align (d : Design.t) (r : Rect.t) =
 let y_overlaps (region : Rect.t) (r : Rect.t) =
   r.Rect.yl < region.Rect.yh -. 1e-9 && r.Rect.yh > region.Rect.yl +. 1e-9
 
-let plan ?(expand = 2.0) ?(freeze = [||]) ?(obstacles = []) (base : Design.t) edits =
+let plan (base : Design.t) edits =
   let a = apply base edits in
   let d = a.edited in
   let rh = d.Design.row_height in
@@ -302,8 +302,6 @@ let plan ?(expand = 2.0) ?(freeze = [||]) ?(obstacles = []) (base : Design.t) ed
   Array.iter grow_net moved_nets;
   Array.iter grow_net a.struct_nets;
   let seed_rect = match !hull with Some r -> r | None -> seed_hull in
-  let frozen_by_caller = Hashtbl.create 16 in
-  Array.iter (fun i -> Hashtbl.replace frozen_by_caller i ()) freeze;
   let movable = Design.movable_ids d in
   let single_row i = d.Design.cells.(i).Types.c_height <= rh +. 1e-9 in
   let is_seed = Hashtbl.create 64 in
@@ -323,7 +321,6 @@ let plan ?(expand = 2.0) ?(freeze = [||]) ?(obstacles = []) (base : Design.t) ed
       (fun i ->
         let eligible =
           single_row i
-          && (not (Hashtbl.mem frozen_by_caller i))
           && (Hashtbl.mem is_seed i || Rect.contains_rect inner (Design.cell_rect d i))
         in
         if eligible then dirty := i :: !dirty else frozen := i :: !frozen)
@@ -342,10 +339,10 @@ let plan ?(expand = 2.0) ?(freeze = [||]) ?(obstacles = []) (base : Design.t) ed
       if Types.is_fixed_kind d.Design.cells.(i).Types.c_kind then
         count (Design.cell_rect d i)
     done;
-    List.iter count obstacles;
     need, Rect.area region -. !blocked
   in
-  let region = ref (row_align d (Rect.expand seed_rect (expand *. rh))) in
+  (* initial margin: two rows around the disturbed hull *)
+  let region = ref (row_align d (Rect.expand seed_rect (2.0 *. rh))) in
   let dirty = ref [||] and frozen = ref [||] in
   let stop = ref false in
   while not !stop do
@@ -379,7 +376,7 @@ let plan ?(expand = 2.0) ?(freeze = [||]) ?(obstacles = []) (base : Design.t) ed
     region;
     dirty;
     frozen;
-    obstacles = obstacles @ frozen_obstacles;
+    obstacles = frozen_obstacles;
     dirty_fraction = float_of_int (Array.length dirty) /. movables;
   }
 
@@ -393,9 +390,8 @@ type result = {
 
 let default_threshold = 0.25
 
-let run ?observer ?check ?(threshold = default_threshold) ?expand ?freeze ?obstacles
-    ~base edits (cfg : Config.t) =
-  let p = plan ?expand ?freeze ?obstacles base edits in
+let run ?observer ?check ?(threshold = default_threshold) ~base edits (cfg : Config.t) =
+  let p = plan base edits in
   if p.dirty_fraction > threshold then begin
     Log.info (fun m ->
         m "dirty fraction %.3f > %.3f: falling back to the full flow" p.dirty_fraction
@@ -412,8 +408,7 @@ let run ?observer ?check ?(threshold = default_threshold) ?expand ?freeze ?obsta
       Ctx.set_skip ctx p.frozen;
       Ctx.set_flip_skip ctx p.frozen;
       ctx.Ctx.bound <- Some p.region;
-      ctx.Ctx.obstacles <- p.obstacles;
-      ctx.Ctx.hpwl_init <- Ctx.hpwl ctx
+      ctx.Ctx.obstacles <- p.obstacles
     in
     let flow =
       Flow.run_stages ~prepare ?observer ?check ~stages:Flow.eco_stages p.applied.edited cfg

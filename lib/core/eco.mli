@@ -68,20 +68,12 @@ type plan = {
   dirty_fraction : float;  (** |dirty| / movables of the edited design *)
 }
 
-val plan :
-  ?expand:float ->
-  ?freeze:int array ->
-  ?obstacles:Dpp_geom.Rect.t list ->
-  Dpp_netlist.Design.t ->
-  edit list ->
-  plan
+val plan : Dpp_netlist.Design.t -> edit list -> plan
 (** Compute the dirty region and cell partition for an edit list against
-    a placed base design.  [expand] (default 2 row heights) is the
-    initial margin around the disturbed hull; the region then grows until
-    the dirty cells fit with 25% slack (or the whole die is dirty).
-    [freeze] pins extra cells (e.g. snapped datapath group members from
-    the base run); [obstacles] carries the base run's snapped-group
-    outlines. *)
+    a placed base design.  The region starts two row heights around the
+    disturbed hull and grows until the dirty cells fit (or the whole die
+    is dirty).  Every movable single-row cell inside it is re-placed:
+    snapped datapath groups of a structure-aware base are not protected. *)
 
 type result = {
   flow : Flow.result;
@@ -96,9 +88,6 @@ val run :
   ?observer:(Dpp_report.Trace.stage -> unit) ->
   ?check:bool ->
   ?threshold:float ->
-  ?expand:float ->
-  ?freeze:int array ->
-  ?obstacles:Dpp_geom.Rect.t list ->
   base:Dpp_netlist.Design.t ->
   edit list ->
   Config.t ->

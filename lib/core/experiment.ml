@@ -15,6 +15,12 @@ let suite_designs () =
   List.map (fun spec -> spec.Dpp_gen.Compose.sp_name, Dpp_gen.Compose.build spec)
     Dpp_gen.Presets.suite
 
+(* the single-design figures all run on the quick adder preset *)
+let figure_design = "dp_add32"
+
+let build_figure_design () =
+  Dpp_gen.Compose.build (Option.get (Dpp_gen.Presets.by_name figure_design))
+
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
@@ -44,10 +50,10 @@ let table2 () =
 
 type t3_entry = { e_design : string; e_base : Flow.result; e_sa : Flow.result }
 
-let run_suite ?(config = Config.structure_aware) () =
+let run_suite () =
   List.map
     (fun (name, d) ->
-      let base, sa = Flow.run_both d config in
+      let base, sa = Flow.run_both d Config.structure_aware in
       { e_design = name; e_base = base; e_sa = sa })
     (suite_designs ())
 
@@ -184,13 +190,8 @@ let table5 () =
 
 (* ------------------------------------------------------------------ *)
 
-let figure1 ?(design = "dp_add32") () =
-  let spec =
-    match Dpp_gen.Presets.by_name design with
-    | Some s -> s
-    | None -> invalid_arg ("figure1: unknown design " ^ design)
-  in
-  let d = Dpp_gen.Compose.build spec in
+let figure1 () =
+  let d = build_figure_design () in
   let base, sa = Flow.run_both d Config.structure_aware in
   let max_rounds = max (List.length base.Flow.trace) (List.length sa.Flow.trace) in
   let lookup trace k =
@@ -209,12 +210,13 @@ let figure1 ?(design = "dp_add32") () =
         float_of_int (k + 1), [ bh; bo; sh; so ])
   in
   Series.make
-    ~title:(Printf.sprintf "Figure 1: GP convergence on %s" design)
+    ~title:(Printf.sprintf "Figure 1: GP convergence on %s" figure_design)
     ~x_label:"round"
     ~y_labels:[ "hpwl-base"; "ovf-base"; "hpwl-sa"; "ovf-sa" ]
     points
 
-let figure2 ?(cells = 2500) () =
+let figure2 () =
+  let cells = 2500 in
   let fractions = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ] in
   let points =
     List.map
@@ -245,13 +247,8 @@ let figure2 ?(cells = 2500) () =
     ~y_labels:[ "hpwl-ratio"; "steiner-ratio" ]
     points
 
-let figure3 ?(design = "dp_add32") () =
-  let spec =
-    match Dpp_gen.Presets.by_name design with
-    | Some s -> s
-    | None -> invalid_arg ("figure3: unknown design " ^ design)
-  in
-  let d = Dpp_gen.Compose.build spec in
+let figure3 () =
+  let d = build_figure_design () in
   let base = Flow.run d Config.baseline in
   let betas = [ 0.0; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0 ] in
   let points =
@@ -270,12 +267,12 @@ let figure3 ?(design = "dp_add32") () =
       (Printf.sprintf
          "Figure 3: soft-alignment weight sweep on %s (HPWL ratio vs baseline; final \
           alignment error)"
-         design)
+         figure_design)
     ~x_label:"beta"
     ~y_labels:[ "hpwl-ratio"; "align-error" ]
     points
 
-let figure4 ?(sizes = [ 1000; 2000; 4000; 8000 ]) () =
+let figure4 () =
   let points =
     List.map
       (fun cells ->
@@ -292,20 +289,15 @@ let figure4 ?(sizes = [ 1000; 2000; 4000; 8000 ]) () =
             sa.Flow.total_time;
             sa.Flow.hpwl_final /. base.Flow.hpwl_final;
           ] ))
-      sizes
+      [ 1000; 2000; 4000; 8000 ]
   in
   Series.make ~title:"Figure 4: runtime scaling (seconds) and quality vs design size"
     ~x_label:"#cells"
     ~y_labels:[ "time-base"; "time-sa"; "hpwl-ratio" ]
     points
 
-let figure5 ?(design = "dp_add32") () =
-  let spec =
-    match Dpp_gen.Presets.by_name design with
-    | Some s -> s
-    | None -> invalid_arg ("figure5: unknown design " ^ design)
-  in
-  let clean = Dpp_gen.Compose.build spec in
+let figure5 () =
+  let clean = build_figure_design () in
   let fractions = [ 0.0; 0.02; 0.05; 0.1; 0.2; 0.4 ] in
   let points =
     List.map
@@ -319,7 +311,7 @@ let figure5 ?(design = "dp_add32") () =
   in
   Series.make
     ~title:
-      (Printf.sprintf "Figure 5: extraction robustness vs rewiring noise on %s" design)
+      (Printf.sprintf "Figure 5: extraction robustness vs rewiring noise on %s" figure_design)
     ~x_label:"noise-fraction"
     ~y_labels:[ "precision"; "recall" ]
     points

@@ -22,9 +22,9 @@ type t3_entry = {
   e_sa : Flow.result;
 }
 
-val run_suite : ?config:Config.t -> unit -> t3_entry list
-(** Both flows on every suite design (the expensive shared computation
-    behind tables 3 and 4). *)
+val run_suite : unit -> t3_entry list
+(** Both flows on every suite design under {!Config.structure_aware}
+    (the expensive shared computation behind tables 3, 4 and 6). *)
 
 val table3 : t3_entry list -> table
 (** Main result: HPWL and Steiner WL, baseline vs structure-aware, ratios
@@ -41,18 +41,21 @@ val table6 : t3_entry list -> table
 (** Routability and timing: RUDY congestion statistics and the lite-STA
     critical path delay, baseline vs structure-aware. *)
 
-val figure1 : ?design:string -> unit -> Dpp_report.Series.t
-(** GP convergence: HPWL and overflow per round, both flows. *)
+val figure1 : unit -> Dpp_report.Series.t
+(** GP convergence on dp_add32: HPWL and overflow per round, both
+    flows. *)
 
-val figure2 : ?cells:int -> unit -> Dpp_report.Series.t
-(** Wirelength ratio (structure-aware / baseline) vs datapath fraction. *)
+val figure2 : unit -> Dpp_report.Series.t
+(** Wirelength ratio (structure-aware / baseline) vs datapath fraction,
+    on ~2500-cell designs. *)
 
-val figure3 : ?design:string -> unit -> Dpp_report.Series.t
-(** Soft-alignment beta sweep: HPWL ratio and final alignment error. *)
+val figure3 : unit -> Dpp_report.Series.t
+(** Soft-alignment beta sweep on dp_add32: HPWL ratio and final
+    alignment error. *)
 
-val figure4 : ?sizes:int list -> unit -> Dpp_report.Series.t
-(** Runtime vs design size for both flows. *)
+val figure4 : unit -> Dpp_report.Series.t
+(** Runtime vs design size (1000 to 8000 cells) for both flows. *)
 
-val figure5 : ?design:string -> unit -> Dpp_report.Series.t
-(** Extraction robustness: precision/recall (and the resulting placement
-    ratio) vs injected rewiring noise. *)
+val figure5 : unit -> Dpp_report.Series.t
+(** Extraction robustness on dp_add32: precision/recall vs injected
+    rewiring noise. *)

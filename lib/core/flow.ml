@@ -24,8 +24,6 @@ exception Check_failed of { stage : string; violations : string list }
 type result = {
   design : Design.t;
   config : Config.t;
-  hpwl_init : float;
-  hpwl_gp : float;
   hpwl_legal : float;
   hpwl_final : float;
   steiner_final : float;
@@ -63,20 +61,14 @@ let extract_stage =
     name = "extract";
     run =
       (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        (match cfg.Config.group_source with
-        | Config.Ground_truth -> ctx.Ctx.groups_used <- d.Design.groups
-        | Config.Extracted ->
-          let r = Slicer.run_with ~soa:ctx.Ctx.soa d cfg.Config.extract in
-          let metrics =
-            Exmetrics.compare_to_truth ~truth:d.Design.groups ~found:r.Slicer.groups
-          in
-          Log.info (fun m ->
-              m "extraction: %d groups, precision %.3f recall %.3f"
-                (List.length r.Slicer.groups) metrics.Exmetrics.precision
-                metrics.Exmetrics.recall);
-          ctx.Ctx.extraction <- Some (r, metrics);
-          ctx.Ctx.groups_used <- r.Slicer.groups);
+        let d = ctx.Ctx.design in
+        let r = Slicer.run_with ~soa:ctx.Ctx.soa d Slicer.default_config in
+        let metrics = Exmetrics.compare_to_truth ~truth:d.Design.groups ~found:r.Slicer.groups in
+        Log.info (fun m ->
+            m "extraction: %d groups, precision %.3f recall %.3f" (List.length r.Slicer.groups)
+              metrics.Exmetrics.precision metrics.Exmetrics.recall);
+        ctx.Ctx.extraction <- Some (r, metrics);
+        ctx.Ctx.groups_used <- r.Slicer.groups;
         ctx);
   }
 
@@ -118,7 +110,6 @@ let init_stage =
         ctx.Ctx.soft_dgs <- soft;
         (* movable multi-row macros ride the rigid machinery in both modes *)
         ctx.Ctx.macro_dgs <- List.map (Dgroup.of_movable_macro d) (Dgroup.movable_macros d);
-        ctx.Ctx.hpwl_init <- Ctx.hpwl ctx;
         ctx);
   }
 
@@ -131,11 +122,9 @@ let gp_stage =
         let gp_cfg =
           {
             Gp.default_config with
-            Gp.model = cfg.Config.model;
-            target_density = cfg.Config.target_density;
+            Gp.target_density = cfg.Config.target_density;
             rounds = cfg.Config.gp_rounds;
             inner_iters = cfg.Config.gp_inner_iters;
-            overflow_target = cfg.Config.overflow_target;
             beta =
               (match cfg.Config.mode with
               | Config.Baseline -> 0.0
@@ -145,8 +134,6 @@ let gp_stage =
             pool = ctx.Ctx.pool;
             routability = cfg.Config.routability;
             rt_interval = cfg.Config.rt_interval;
-            rt_overflow = cfg.Config.rt_overflow;
-            rt_max_inflate = cfg.Config.rt_max_inflate;
           }
         in
         let movables = Array.length (Design.movable_ids d) in
@@ -177,6 +164,10 @@ let snap_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
+        (* the gp-boundary oracle was the hierarchy's last reader: release
+           the coarse designs and their views before the fine-grained
+           stages allocate *)
+        ctx.Ctx.ml_levels <- [];
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
         let pins = ctx.Ctx.pins in
         (* movable multi-row macros must become row-aligned obstacles in
@@ -420,14 +411,12 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
   in
   Pins.apply_centers d fx fy;
   (* partial pipelines (incremental ECO, checkpoint resume) never run a gp
-     stage; the gp-derived fields then report the placement they started
-     from instead of erroring *)
+     stage; the gp-derived fields then report neutral values instead of
+     erroring *)
   let gp = ctx.Ctx.gp in
   {
     design = d;
     config = cfg;
-    hpwl_init = ctx.Ctx.hpwl_init;
-    hpwl_gp = (match gp with Some g -> g.Gp.final_hpwl | None -> ctx.Ctx.hpwl_init);
     hpwl_legal = ctx.Ctx.hpwl_legal;
     hpwl_final;
     steiner_final = ctx.Ctx.steiner_final;

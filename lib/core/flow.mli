@@ -28,8 +28,6 @@ exception Check_failed of { stage : string; violations : string list }
 type result = {
   design : Dpp_netlist.Design.t;  (** placed copy of the input *)
   config : Config.t;
-  hpwl_init : float;  (** after quadratic init *)
-  hpwl_gp : float;
   hpwl_legal : float;
   hpwl_final : float;  (** after detailed placement and flipping *)
   steiner_final : float;
@@ -88,8 +86,8 @@ val run_stages :
     resume build on.  [prepare] runs right after context creation, before
     any stage — it may install coordinates, skip sets, obstacles, and the
     ECO [bound].  The list must end in a metrics stage for the result to
-    be assembled; when no gp stage is present the gp-derived result
-    fields report the starting placement. *)
+    be assembled; when no gp stage is present [overflow_gp] is 0 and
+    [trace]/[rt_trace] are empty. *)
 
 val eco_stages : stage list
 (** [legal; detail; flip; metrics] — the incremental ECO re-placement

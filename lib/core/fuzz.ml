@@ -458,8 +458,9 @@ let flow_checks (c : case) =
    datapath group split across clusters, areas conserved), and the final
    quality stays within a bounded factor of the flat result.  Both runs
    go through check mode, so a dirty level fails here before the quality
-   comparison is even reached.  The thresholds force the V-cycle on at
-   fuzz-case sizes, where it would normally not engage. *)
+   comparison is even reached.  [Ml_on] and a low coarsening floor force
+   the V-cycle on at fuzz-case sizes, where it would normally not
+   engage. *)
 
 let ml_hpwl_factor = 1.6
 
@@ -474,7 +475,6 @@ let ml_checks (c : case) =
     {
       (flow_config c) with
       Config.multilevel = ml;
-      ml_threshold = 0;
       ml_min_cells = 40;
       ml_max_levels = 2;
     }

@@ -49,19 +49,19 @@ let lattice_sum ~r ~step =
 
 let grid t = t.grid
 
-let of_soa ?(frozen = fun _ -> false) (s : Soa.t) ~grid ~target_density =
+let of_soa (s : Soa.t) ~grid ~target_density =
   if target_density <= 0.0 then invalid_arg "Bell.create: non-positive target density";
   let nc = Soa.num_cells s in
-  (* movable ids ascending, frozen ones dropped — the same id sequence
-     [Design.movable_ids] yields, walked off the flat kind array *)
+  (* movable ids ascending — the same id sequence [Design.movable_ids]
+     yields, walked off the flat kind array *)
   let n_mov = ref 0 in
   for i = 0 to nc - 1 do
-    if (not (Soa.is_fixed s i)) && not (frozen i) then incr n_mov
+    if not (Soa.is_fixed s i) then incr n_mov
   done;
   let movable = Array.make !n_mov 0 in
   let k = ref 0 in
   for i = 0 to nc - 1 do
-    if (not (Soa.is_fixed s i)) && not (frozen i) then begin
+    if not (Soa.is_fixed s i) then begin
       movable.(!k) <- i;
       incr k
     end
@@ -115,8 +115,8 @@ let set_inflation t factors =
 let reset_inflation t =
   Array.iter (fun i -> t.normalizer.(i) <- t.base_normalizer.(i)) t.movable
 
-let create ?frozen (d : Design.t) ~grid ~target_density =
-  of_soa ?frozen (Soa.of_design d) ~grid ~target_density
+let create (d : Design.t) ~grid ~target_density =
+  of_soa (Soa.of_design d) ~grid ~target_density
 
 (* The hot kernels below inline their window walks directly — a closure
    callback taking float arguments (the old [iter_window] helper) boxes

@@ -19,14 +19,10 @@
 
 type t
 
-val of_soa :
-  ?frozen:(int -> bool) -> Dpp_netlist.Soa.t -> grid:Grid.t -> target_density:float -> t
-(** [frozen] excludes movable cells that a later flow phase treats as
-    obstacles (snapped group members); their area must then be subtracted
-    from the grid capacity by the caller. *)
+val of_soa : Dpp_netlist.Soa.t -> grid:Grid.t -> target_density:float -> t
+(** The field over every movable cell of the flat view. *)
 
-val create :
-  ?frozen:(int -> bool) -> Dpp_netlist.Design.t -> grid:Grid.t -> target_density:float -> t
+val create : Dpp_netlist.Design.t -> grid:Grid.t -> target_density:float -> t
 (** [create d = of_soa (Soa.of_design d)] — for callers without a flat
     view; callers that hold one use {!of_soa}. *)
 

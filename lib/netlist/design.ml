@@ -100,8 +100,6 @@ let restore_positions t x y =
 
 let with_groups t groups = { t with groups }
 
-let total_pin_count t = Array.length t.pins
-
 let average_net_degree t =
   if num_nets t = 0 then 0.0
   else begin

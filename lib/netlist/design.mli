@@ -62,5 +62,4 @@ val restore_positions : t -> float array -> float array -> unit
 val with_groups : t -> Groups.t list -> t
 (** Functional update of the group annotation list. *)
 
-val total_pin_count : t -> int
 val average_net_degree : t -> float

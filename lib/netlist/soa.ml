@@ -278,7 +278,6 @@ let num_cells t = t.num_cells
 let num_nets t = t.num_nets
 let num_pins t = t.num_pins
 let net_degree t n = I32.uget t.net_pin_off (n + 1) - I32.uget t.net_pin_off n
-let cell_degree t i = I32.uget t.cell_pin_off (i + 1) - I32.uget t.cell_pin_off i
 
 let net_cell_count t n = I32.uget t.net_cell_off (n + 1) - I32.uget t.net_cell_off n
 

@@ -126,9 +126,6 @@ val num_pins : t -> int
 val net_degree : t -> int -> int
 (** Pins on the net. *)
 
-val cell_degree : t -> int -> int
-(** Pins on the cell. *)
-
 val net_cell_count : t -> int -> int
 (** Distinct cells on the net — at most {!net_degree}. *)
 

@@ -31,6 +31,4 @@ let direction_of_string = function
   | "B" | "inout" -> Some Inout
   | _ -> None
 
-let cell_kind_to_string = function Movable -> "movable" | Fixed -> "fixed" | Pad -> "pad"
-
 let is_fixed_kind = function Fixed | Pad -> true | Movable -> false

@@ -1,6 +1,10 @@
 type result = { step : float; f_new : float; evaluations : int; ok : bool }
 
-let armijo ?(c1 = 1e-4) ?(shrink = 0.5) ?(max_trials = 30) ~f ~x ~d ~f0 ~slope ~step0 ~scratch () =
+(* sufficient-decrease constant and backtracking factor *)
+let c1 = 1e-4
+let shrink = 0.5
+
+let armijo ?(max_trials = 30) ~f ~x ~d ~f0 ~slope ~step0 ~scratch () =
   let n = Array.length x in
   if Array.length d <> n || Array.length scratch <> n then
     invalid_arg "Linesearch.armijo: size mismatch";

@@ -5,15 +5,12 @@ type problem = {
   eval_grad : (float array -> float array -> float) option;
 }
 
-let problem ~n ~eval ~grad ?eval_grad () = { n; eval; grad; eval_grad }
-
 type options = {
   max_iter : int;
   grad_tol : float;
   f_tol : float;
   initial_step : float;
   project : (float array -> unit) option;
-  on_iterate : (int -> float -> float -> unit) option;
 }
 
 let default_options =
@@ -23,7 +20,6 @@ let default_options =
     f_tol = 1e-9;
     initial_step = 1.0;
     project = None;
-    on_iterate = None;
   }
 
 type result = {
@@ -154,7 +150,6 @@ let minimize ?arena ?(options = default_options) p x0 =
           step_hint := max 1e-12 (2.0 *. ls2.Linesearch.step);
           gnorm := Vec.nrm_inf g;
           incr iter;
-          (match options.on_iterate with Some cb -> cb !iter !f !gnorm | None -> ());
           if !gnorm <= options.grad_tol then converged := true
           else if
             abs_float (f_old -. !f) <= options.f_tol *. (abs_float f_old +. 1e-30)
@@ -198,7 +193,6 @@ let minimize ?arena ?(options = default_options) p x0 =
         step_hint := max 1e-12 (2.0 *. ls.Linesearch.step);
         gnorm := Vec.nrm_inf g;
         incr iter;
-        (match options.on_iterate with Some cb -> cb !iter !f !gnorm | None -> ());
         if !gnorm <= options.grad_tol then converged := true
         else if abs_float (f_old -. !f) <= options.f_tol *. (abs_float f_old +. 1e-30) then
           converged := true

@@ -13,14 +13,6 @@ type problem = {
           substitutes one for the other freely. *)
 }
 
-val problem :
-  n:int ->
-  eval:(float array -> float) ->
-  grad:(float array -> float array -> unit) ->
-  ?eval_grad:(float array -> float array -> float) ->
-  unit ->
-  problem
-
 type options = {
   max_iter : int;
   grad_tol : float;  (** stop when [||g||_inf <= grad_tol] *)
@@ -28,13 +20,11 @@ type options = {
   initial_step : float;  (** first trial step of the very first line search *)
   project : (float array -> unit) option;
       (** in-place feasibility projection applied after every accepted step *)
-  on_iterate : (int -> float -> float -> unit) option;
-      (** [on_iterate k f gnorm] callback for convergence traces *)
 }
 
 val default_options : options
 (** 100 iterations, [grad_tol 1e-6], [f_tol 1e-9], [initial_step 1.0],
-    no projection, no callback. *)
+    no projection. *)
 
 type result = {
   x : float array;

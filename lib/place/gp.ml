@@ -16,13 +16,9 @@ module Rudy = Dpp_congest.Rudy
 type config = {
   model : Model.kind;
   target_density : float;
-  gamma_frac : float;
-  gamma_shrink : float;
-  lambda_mult : float;
   rounds : int;
   inner_iters : int;
   overflow_target : float;
-  grid : (int * int) option;
   beta : float;
   groups : Dgroup.t list;  (** soft groups: alignment penalty *)
   rigid_groups : Dgroup.t list;  (** rigid groups: one macro variable each *)
@@ -37,13 +33,9 @@ let default_config =
   {
     model = Model.Lse;
     target_density = 0.9;
-    gamma_frac = 0.5;
-    gamma_shrink = 0.8;
-    lambda_mult = 2.0;
     rounds = 30;
     inner_iters = 60;
     overflow_target = 0.08;
-    grid = None;
     beta = 0.0;
     groups = [];
     rigid_groups = [];
@@ -84,10 +76,14 @@ type result = {
   rt_trace : rt_round list;
 }
 
+(* outer-loop schedule: gamma starts at half a bin extent and shrinks by
+   [gamma_shrink] per round while lambda grows by [lambda_mult] *)
+let gamma_shrink = 0.8
+let lambda_mult = 2.0
+
 let grad_l1 g = Array.fold_left (fun acc v -> acc +. abs_float v) 0.0 g
 
-let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pins : Pins.t)
-    (d : Design.t) cfg ~cx ~cy =
+let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
   let nc = Design.num_cells d in
   (* Arena-backed working buffers: [afloats]/[aints] are zero-filled
      drop-ins for [Array.make], [afloats_raw] is for buffers that are
@@ -110,18 +106,16 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
   Array.iteri
     (fun j (dg : Dgroup.t) -> Array.iter (fun c -> member_of.(c) <- j) dg.Dgroup.cells)
     rigid;
-  (* free movables: not frozen, not in a rigid group *)
+  (* free movables: not in a rigid group *)
   let movable_free =
     Array.of_list
-      (List.filter
-         (fun i -> (not (frozen i)) && member_of.(i) < 0)
-         (Array.to_list (Design.movable_ids d)))
+      (List.filter (fun i -> member_of.(i) < 0) (Array.to_list (Design.movable_ids d)))
   in
   let m = Array.length movable_free in
   let nvar = m + ng in
   let soa = pins.Pins.soa in
-  let nx, ny = match cfg.grid with Some (nx, ny) -> nx, ny | None -> Grid.default_dims d in
-  let grid = Grid.build ~extra_obstacles d ~nx ~ny in
+  let nx, ny = Grid.default_dims d in
+  let grid = Grid.build d ~nx ~ny in
   (* An unreachable density target makes lambda escalate until wirelength
      is destroyed: clamp the target to the actual utilization plus slack.
      Rigid-group members still spread (they move with their macro), so
@@ -129,14 +123,12 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
   let total_cap = Grid.total_capacity grid in
   let load_area =
     Array.fold_left
-      (fun acc i ->
-        if frozen i then acc
-        else acc +. (soa.Soa.width.(i) *. soa.Soa.height.(i)))
+      (fun acc i -> acc +. (soa.Soa.width.(i) *. soa.Soa.height.(i)))
       0.0 (Design.movable_ids d)
   in
   let util_eff = if total_cap > 0.0 then load_area /. total_cap else 1.0 in
   let target_density = min 1.0 (max cfg.target_density (util_eff +. 0.05)) in
-  let bell = Bell.of_soa ~frozen soa ~grid ~target_density in
+  let bell = Bell.of_soa soa ~grid ~target_density in
   (* Wirelength goes through Par_grad (bit-identical to the serial
      kernels) and density through the chunk-merged Bell kernels
      (bit-stable across worker counts), even when the pool has one
@@ -163,12 +155,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
      order or routed through the pooled chunk-merged kernels, so the
      trajectory stays independent of the worker count. *)
   let rt_on = cfg.routability && cfg.rt_interval > 0 in
-  let rt_cells =
-    if not rt_on then [||]
-    else
-      Array.of_list
-        (List.filter (fun i -> not (frozen i)) (Array.to_list (Design.movable_ids d)))
-  in
+  let rt_cells = if rt_on then Design.movable_ids d else [||] in
   let inflate =
     if rt_on then begin
       let a = afloats_raw "gp.inflate" nc in
@@ -261,7 +248,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
         rt_cells;
       !acc
   in
-  (* working copies of the full center arrays; fixed/frozen entries never
+  (* working copies of the full center arrays; fixed entries never
      change *)
   let wx = afloats_raw "gp.wx" nc and wy = afloats_raw "gp.wy" nc in
   Array.blit cx 0 wx 0 nc;
@@ -311,7 +298,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
       else if v.(nvar + m + j) > hi_y then v.(nvar + m + j) <- hi_y
     done
   in
-  let gamma0 = cfg.gamma_frac *. max grid.Grid.bin_w grid.Grid.bin_h in
+  let gamma0 = 0.5 *. max grid.Grid.bin_w grid.Grid.bin_h in
   let gamma = ref gamma0 in
   let lambda = ref 0.0 in
   let beta = ref 0.0 in
@@ -531,7 +518,6 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
     incr round;
     let options =
       {
-        Nlcg.default_options with
         Nlcg.max_iter = cfg.inner_iters;
         grad_tol = 1e-9;
         f_tol = 1e-7;
@@ -547,7 +533,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
        overflow budget and stop the loop while the glue is still clumped.
        Their current footprints become obstacles for the measurement. *)
     let overflow =
-      if ng = 0 then Overflow.total_overflow ~frozen d grid ~target_density ~cx:wx ~cy:wy
+      if ng = 0 then Overflow.total_overflow d grid ~target_density ~cx:wx ~cy:wy
       else begin
         let array_rects =
           Array.to_list
@@ -558,9 +544,9 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
                    ~yh:(oy +. dg.Dgroup.height))
                rigid)
         in
-        let grid_eval = Grid.build ~extra_obstacles:(extra_obstacles @ array_rects) d ~nx ~ny in
-        let frozen_eval i = frozen i || member_of.(i) >= 0 in
-        Overflow.total_overflow ~frozen:frozen_eval d grid_eval ~target_density ~cx:wx ~cy:wy
+        let grid_eval = Grid.build ~extra_obstacles:array_rects d ~nx ~ny in
+        let frozen i = member_of.(i) >= 0 in
+        Overflow.total_overflow ~frozen d grid_eval ~target_density ~cx:wx ~cy:wy
       end
     in
     let hpwl = Hpwl.total pins ~cx:wx ~cy:wy in
@@ -577,7 +563,6 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
       }
     in
     trace := info :: !trace;
-    (match on_round with Some f -> f info | None -> ());
     let rt_ms = if rt_on then Some (rt_measure ()) else None in
     consider ~overflow ~hpwl ~ace:(Option.map (fun (_, s) -> s.Rudy.ace_ratio) rt_ms);
     final_overflow := overflow;
@@ -603,10 +588,10 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
     then stop := true
     else begin
       if overflow > cfg.overflow_target then begin
-        lambda := !lambda *. cfg.lambda_mult;
-        gamma := max (!gamma *. cfg.gamma_shrink) (0.02 *. gamma0);
+        lambda := !lambda *. lambda_mult;
+        gamma := max (!gamma *. gamma_shrink) (0.02 *. gamma0);
         (* the soft alignment force tightens along with the density force *)
-        if !beta > 0.0 then beta := !beta *. sqrt cfg.lambda_mult
+        if !beta > 0.0 then beta := !beta *. sqrt lambda_mult
       end;
       if rt_on && !round mod cfg.rt_interval = 0 then
         match rt_ms with Some (r, s) -> rt_steer r s | None -> ()
@@ -658,7 +643,6 @@ let coarse_config cfg =
     cfg with
     inner_iters = max 15 (cfg.inner_iters / 2);
     overflow_target = max cfg.overflow_target 0.10;
-    grid = None;
     beta = 0.0;
     groups = [];
     rigid_groups = [];
@@ -669,10 +653,10 @@ let coarse_config cfg =
    cold start — this is where the multilevel speedup comes from. *)
 let refine_config cfg = { cfg with rounds = min cfg.rounds (max 4 (cfg.rounds / 3)) }
 
-let run_multilevel ?arena ?on_round ~pins (d : Design.t) cfg
-    ~(levels : Dpp_coarsen.level list) ~cx ~cy =
+let run_multilevel ?arena ~pins (d : Design.t) cfg ~(levels : Dpp_coarsen.level list) ~cx
+    ~cy =
   match levels with
-  | [] -> { result = run ?arena ?on_round ~pins d cfg ~cx ~cy; level_trace = [] }
+  | [] -> { result = run ?arena ~pins d cfg ~cx ~cy; level_trace = [] }
   | levels ->
     let larr = Array.of_list levels in
     let nl = Array.length larr in
@@ -711,5 +695,5 @@ let run_multilevel ?arena ?on_round ~pins (d : Design.t) cfg
     (* only the flat refinement shares the arena: the coarse levels all
        have different sizes, so recycling across them would just thrash
        the buffers (their views are also per-level by construction) *)
-    let r = run ?arena ?on_round ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
+    let r = run ?arena ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
     { result = r; level_trace = !trace }

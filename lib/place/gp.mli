@@ -8,23 +8,20 @@
 
     Outer loop: [lambda] starts at the gradient-norm ratio
     [|grad W| / |grad D|] (so wirelength and spreading forces start
-    balanced), multiplies by [lambda_mult] each round while [gamma]
-    shrinks; stops when the exact bin overflow falls below
-    [overflow_target] or after [rounds].  [beta] is likewise normalised by
-    [|grad W| / |grad A|] at the start, so the configuration value is a
-    dimensionless knob (1.0 = alignment force comparable to wirelength
-    force; the F3 ablation sweeps it). *)
+    balanced) and doubles each round while [gamma] (initially half a
+    {!Dpp_density.Grid.default_dims} bin extent) shrinks by 0.8; stops
+    when the exact bin overflow falls below [overflow_target] or after
+    [rounds].  [beta] is likewise normalised by [|grad W| / |grad A|] at
+    the start, so the configuration value is a dimensionless knob (1.0 =
+    alignment force comparable to wirelength force; the F3 ablation sweeps
+    it). *)
 
 type config = {
   model : Dpp_wirelen.Model.kind;
   target_density : float;
-  gamma_frac : float;  (** initial gamma = gamma_frac * bin extent; default 0.5 *)
-  gamma_shrink : float;  (** default 0.8 *)
-  lambda_mult : float;  (** default 2.0 *)
   rounds : int;  (** default 30 *)
   inner_iters : int;  (** NLCG iterations per round; default 60 *)
   overflow_target : float;  (** default 0.08 *)
-  grid : (int * int) option;  (** density bins; default {!Dpp_density.Grid.default_dims} *)
   beta : float;  (** soft-alignment knob; 0 disables *)
   groups : Dpp_structure.Dgroup.t list;  (** soft groups (alignment penalty) *)
   rigid_groups : Dpp_structure.Dgroup.t list;
@@ -105,9 +102,6 @@ type result = {
 
 val run :
   ?arena:Dpp_util.Arena.t ->
-  ?on_round:(round_info -> unit) ->
-  ?frozen:(int -> bool) ->
-  ?extra_obstacles:Dpp_geom.Rect.t list ->
   pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->
@@ -138,7 +132,6 @@ type ml_result = { result : result; level_trace : level_info list }
 
 val run_multilevel :
   ?arena:Dpp_util.Arena.t ->
-  ?on_round:(round_info -> unit) ->
   pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->
@@ -154,13 +147,13 @@ val run_multilevel :
     cluster centers down (group slices re-seeded in bit order), and
     finish with a short flat refinement of the full config on [d] over
     [pins].  Each coarse level is solved through a pin view over its
-    level's [coarse_soa].  With [levels = []] this is exactly {!run}.  [routability] stays in
-    force at every level: each per-level solve re-derives its inflation
-    and congestion field from its own coarse netlist's RUDY map and
-    closes its ledger before interpolation, so only coordinates cross
-    levels — no stale virtual area is restricted or interpolated.
-    [rt_trace] in [result] is the flat refinement's ledger.  [on_round]
-    observes the flat refinement only.  [level_trace] lists levels in ascending order
-    (finest coarse level first).  Deterministic under the same contract
-    as {!run}: the trajectory depends on the config and the hierarchy —
+    level's [coarse_soa].  With [levels = []] this is exactly {!run}.
+    [routability] stays in force at every level: each per-level solve
+    re-derives its inflation and congestion field from its own coarse
+    netlist's RUDY map and closes its ledger before interpolation, so only
+    coordinates cross levels — no stale virtual area is restricted or
+    interpolated.  [trace] and [rt_trace] in [result] are the flat
+    refinement's.  [level_trace] lists levels in ascending order (finest
+    coarse level first).  Deterministic under the same contract as
+    {!run}: the trajectory depends on the config and the hierarchy —
     never on the pool size. *)

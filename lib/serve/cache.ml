@@ -6,7 +6,6 @@ module Slicer = Dpp_extract.Slicer
 module Exmetrics = Dpp_extract.Exmetrics
 module Flow = Dpp_core.Flow
 module Ctx = Dpp_core.Ctx
-module Config = Dpp_core.Config
 
 (* ----- structural hash: 64-bit FNV-1a over the incidence structure ----- *)
 
@@ -60,8 +59,6 @@ let hash_design (d : Design.t) =
         n.Types.n_pins)
     d.Design.nets;
   !h
-
-let key_to_string k = Printf.sprintf "%016Lx" k
 
 (* ----- bounded LRU over the hash key ----- *)
 
@@ -133,19 +130,16 @@ let extract_stage t =
     Flow.extract_stage with
     run =
       (fun (ctx : Ctx.t) ->
-        match ctx.Ctx.config.Config.group_source with
-        | Config.Ground_truth -> Flow.extract_stage.Flow.run ctx
-        | Config.Extracted -> (
-          let k = hash_design ctx.Ctx.design in
-          match find t k with
-          | Some e ->
-            ctx.Ctx.extraction <- Some (e.slicer, e.metrics);
-            ctx.Ctx.groups_used <- e.slicer.Slicer.groups;
-            ctx
-          | None ->
-            let ctx = Flow.extract_stage.Flow.run ctx in
-            (match ctx.Ctx.extraction with
-            | Some (slicer, metrics) -> add t k { slicer; metrics }
-            | None -> ());
-            ctx));
+        let k = hash_design ctx.Ctx.design in
+        match find t k with
+        | Some e ->
+          ctx.Ctx.extraction <- Some (e.slicer, e.metrics);
+          ctx.Ctx.groups_used <- e.slicer.Slicer.groups;
+          ctx
+        | None ->
+          let ctx = Flow.extract_stage.Flow.run ctx in
+          (match ctx.Ctx.extraction with
+          | Some (slicer, metrics) -> add t k { slicer; metrics }
+          | None -> ());
+          ctx);
   }

@@ -21,9 +21,6 @@ val create : capacity:int -> t
 val hash_design : Dpp_netlist.Design.t -> int64
 (** The structural cache key. *)
 
-val key_to_string : int64 -> string
-(** 16-hex-digit rendering, for logs and reports. *)
-
 type entry = { slicer : Dpp_extract.Slicer.result; metrics : Dpp_extract.Exmetrics.t }
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
@@ -35,5 +32,6 @@ val stats : t -> stats
 
 val extract_stage : t -> Dpp_core.Flow.stage
 (** A drop-in replacement for {!Dpp_core.Flow.extract_stage} that
-    consults the cache first and populates it on a miss.  Ground-truth
-    group sourcing bypasses the cache (nothing to compute). *)
+    consults the cache first and populates it on a miss.  The flow
+    always extracts with {!Dpp_extract.Slicer.default_config}, so the
+    design alone determines the result. *)

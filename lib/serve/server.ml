@@ -22,24 +22,14 @@ exception Interrupted of string
 (* raised inside a job at a stage boundary when the server is stopping;
    the stage name is the last one checkpointed *)
 
-type cfg = {
-  workers : int;
-  queue : int;
-  cache_capacity : int;
-  base_capacity : int;
-  spool : string option;
-  max_frame : int;
-}
+type cfg = { workers : int; queue : int; spool : string option }
 
-let default_cfg =
-  {
-    workers = 2;
-    queue = 16;
-    cache_capacity = 16;
-    base_capacity = 16;
-    spool = None;
-    max_frame = P.default_max_frame;
-  }
+let default_cfg = { workers = 2; queue = 16; spool = None }
+
+(* extraction-cache LRU entries, and placed base designs kept for ECO
+   deltas *)
+let cache_capacity = 16
+let base_capacity = 16
 
 type t = {
   cfg : cfg;
@@ -63,7 +53,7 @@ let create ?(cfg = default_cfg) () =
   {
     cfg;
     sched = Scheduler.create ~workers:cfg.workers ~queue:cfg.queue;
-    cache = Cache.create ~capacity:cfg.cache_capacity;
+    cache = Cache.create ~capacity:cache_capacity;
     bases = Hashtbl.create 16;
     bases_lock = Mutex.create ();
     abort_all = Atomic.make false;
@@ -75,7 +65,6 @@ let create ?(cfg = default_cfg) () =
     listener_lock = Mutex.create ();
   }
 
-let extraction_stats t = Cache.stats t.cache
 let jobs_completed t = Atomic.get t.completed
 let jobs_failed t = Atomic.get t.failed
 
@@ -124,7 +113,7 @@ let spec_key (s : P.job_spec) =
 
 let remember_base t key design =
   Mutex.lock t.bases_lock;
-  if Hashtbl.length t.bases >= t.cfg.base_capacity then Hashtbl.reset t.bases;
+  if Hashtbl.length t.bases >= base_capacity then Hashtbl.reset t.bases;
   Hashtbl.replace t.bases key design;
   Mutex.unlock t.bases_lock
 
@@ -335,7 +324,7 @@ let handle_client t fd =
   let c = { fd; wlock = Mutex.create (); alive = true } in
   let reply_fn r = reply c r in
   let rec loop () =
-    match P.read_frame ~max_len:t.cfg.max_frame fd with
+    match P.read_frame fd with
     | None -> ()  (* clean EOF: client done *)
     | exception P.Protocol_error reason ->
       (* framing is broken, the stream cannot be resynchronized: report
@@ -412,7 +401,6 @@ let resume t =
 (* ----- fault-injection and lifecycle ----- *)
 
 let interrupt_after t stage = Atomic.set t.abort_after (Some stage)
-let clear_interrupt t = Atomic.set t.abort_after None
 
 let interrupt t =
   Atomic.set t.abort_all true;

@@ -30,14 +30,13 @@ exception Interrupted of string
 type cfg = {
   workers : int;  (** concurrent jobs = scheduler worker domains *)
   queue : int;  (** bounded backlog; beyond it submissions get [Rejected] *)
-  cache_capacity : int;  (** extraction-cache LRU entries *)
-  base_capacity : int;  (** placed base designs kept for ECO deltas *)
   spool : string option;  (** checkpoint directory; [None] disables spooling *)
-  max_frame : int;  (** per-frame payload ceiling for client connections *)
 }
+(** The extraction cache and the base-design table hold 16 entries each;
+    client frames are capped at {!Protocol.default_max_frame}. *)
 
 val default_cfg : cfg
-(** 2 workers, queue 16, 16-entry caches, no spool, 8 MiB frames. *)
+(** 2 workers, queue 16, no spool. *)
 
 type t
 
@@ -100,10 +99,7 @@ val interrupt_after : t -> string -> unit
     completes (and checkpoints, if resumable) — a deterministic stand-in
     for SIGTERM racing a running job. *)
 
-val clear_interrupt : t -> unit
-
 (** {1 Introspection} *)
 
-val extraction_stats : t -> Cache.stats
 val jobs_completed : t -> int
 val jobs_failed : t -> int

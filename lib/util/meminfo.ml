@@ -39,7 +39,6 @@ let status_field field =
     Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
 
 let vm_hwm_kb () = status_field "VmHWM"
-let vm_rss_kb () = status_field "VmRSS"
 
 let top_heap_kb () =
   (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1024

@@ -10,9 +10,6 @@ val vm_hwm_kb : unit -> int
     Counts everything the OS ever kept resident for this process: OCaml
     heaps, Bigarray payloads, stacks, mapped code. *)
 
-val vm_rss_kb : unit -> int
-(** Current resident set size (VmRSS), in kB. *)
-
 val top_heap_kb : unit -> int
 (** High-water mark of the OCaml major heap ([Gc.quick_stat]'s
     [top_heap_words]), in kB.  Excludes Bigarray payloads, which are

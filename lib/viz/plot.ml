@@ -3,8 +3,11 @@ module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
 module Groups = Dpp_netlist.Groups
 
+(* SVG units per database unit *)
+let scale = 2.0
+
 (* draw one design into [svg] translated by (ox, oy) in user units *)
-let draw_design svg ~scale ~ox ~oy ?congestion ~groups ?title (d : Design.t) =
+let draw_design svg ~ox ~oy ?congestion ~groups ?title (d : Design.t) =
   let die = d.Design.die in
   let sx x = ox +. (scale *. (x -. die.Rect.xl)) in
   let sy y = oy +. (scale *. (y -. die.Rect.yl)) in
@@ -59,15 +62,15 @@ let draw_design svg ~scale ~ox ~oy ?congestion ~groups ?title (d : Design.t) =
   | Some title -> Svg.text svg ~x:ox ~y:(oy +. h +. (4.0 *. scale)) ~size:(5.0 *. scale) title
   | None -> ()
 
-let placement ?(scale = 2.0) ?groups ?congestion ?title (d : Design.t) ~path =
+let placement ?groups ?congestion ?title (d : Design.t) ~path =
   let groups = Option.value groups ~default:d.Design.groups in
   let die = d.Design.die in
   let w = scale *. Rect.width die and h = scale *. Rect.height die in
   let svg = Svg.create ~width:w ~height:(h +. (12.0 *. scale)) () in
-  draw_design svg ~scale ~ox:0.0 ~oy:0.0 ?congestion ~groups ?title d;
+  draw_design svg ~ox:0.0 ~oy:0.0 ?congestion ~groups ?title d;
   Svg.write svg ~path
 
-let compare_placements ?(scale = 2.0) ~left ~right ?(left_title = "left")
+let compare_placements ~left ~right ?(left_title = "left")
     ?(right_title = "right") ~path () =
   let wl = scale *. Rect.width left.Design.die in
   let wr = scale *. Rect.width right.Design.die in
@@ -76,7 +79,7 @@ let compare_placements ?(scale = 2.0) ~left ~right ?(left_title = "left")
   in
   let gap = 20.0 *. scale in
   let svg = Svg.create ~width:(wl +. gap +. wr) ~height:(h +. (12.0 *. scale)) () in
-  draw_design svg ~scale ~ox:0.0 ~oy:0.0 ~groups:left.Design.groups ~title:left_title left;
-  draw_design svg ~scale ~ox:(wl +. gap) ~oy:0.0 ~groups:right.Design.groups
+  draw_design svg ~ox:0.0 ~oy:0.0 ~groups:left.Design.groups ~title:left_title left;
+  draw_design svg ~ox:(wl +. gap) ~oy:0.0 ~groups:right.Design.groups
     ~title:right_title right;
   Svg.write svg ~path

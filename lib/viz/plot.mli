@@ -4,20 +4,18 @@
     way to see what the flows actually did to a design. *)
 
 val placement :
-  ?scale:float ->
   ?groups:Dpp_netlist.Groups.t list ->
   ?congestion:Dpp_congest.Rudy.t ->
   ?title:string ->
   Dpp_netlist.Design.t ->
   path:string ->
   unit
-(** Renders the design at its current positions.  [groups] defaults to the
-    design's own annotations; [scale] is SVG units per database unit
-    (default 2.0).  With [congestion], bins with demand ratio > 0.5 are
-    shaded under the cells. *)
+(** Renders the design at its current positions, two SVG units per
+    database unit.  [groups] defaults to the design's own annotations.
+    With [congestion], bins with demand ratio > 0.5 are shaded under the
+    cells. *)
 
 val compare_placements :
-  ?scale:float ->
   left:Dpp_netlist.Design.t ->
   right:Dpp_netlist.Design.t ->
   ?left_title:string ->

@@ -1,12 +1,9 @@
-type t = {
-  width : float;
-  height : float;
-  margin : float;
-  buf : Buffer.t;
-}
+type t = { width : float; height : float; buf : Buffer.t }
 
-let create ~width ~height ?(margin = 10.0) () =
-  { width; height; margin; buf = Buffer.create 4096 }
+(* blank border around the canvas, in user units *)
+let margin = 10.0
+
+let create ~width ~height () = { width; height; buf = Buffer.create 4096 }
 
 (* user y grows up; SVG y grows down *)
 let fy t y = t.height -. y
@@ -49,11 +46,11 @@ let to_string t =
      <svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"%.3f %.3f %.3f %.3f\" width=\"%.0f\" \
      height=\"%.0f\">\n\
      %s</svg>\n"
-    (-.t.margin) (-.t.margin)
-    (t.width +. (2.0 *. t.margin))
-    (t.height +. (2.0 *. t.margin))
-    (t.width +. (2.0 *. t.margin))
-    (t.height +. (2.0 *. t.margin))
+    (-.margin) (-.margin)
+    (t.width +. (2.0 *. margin))
+    (t.height +. (2.0 *. margin))
+    (t.width +. (2.0 *. margin))
+    (t.height +. (2.0 *. margin))
     (Buffer.contents t.buf)
 
 let write t ~path =

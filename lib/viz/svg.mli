@@ -5,8 +5,9 @@
 
 type t
 
-val create : width:float -> height:float -> ?margin:float -> unit -> t
-(** A canvas whose viewBox covers [0..width] x [0..height] user units. *)
+val create : width:float -> height:float -> unit -> t
+(** A canvas whose viewBox covers [0..width] x [0..height] user units,
+    plus a 10-unit margin. *)
 
 val rect :
   t ->

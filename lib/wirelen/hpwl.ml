@@ -30,6 +30,3 @@ let total_of_design d =
   let t = Pins.build d in
   let cx, cy = Pins.centers_of_design d in
   total t ~cx ~cy
-
-let per_net t ~cx ~cy =
-  Array.init (Soa.num_nets t.Pins.soa) (fun n -> net t ~cx ~cy n)

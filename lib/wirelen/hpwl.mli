@@ -9,6 +9,3 @@ val total : Pins.t -> cx:float array -> cy:float array -> float
 
 val total_of_design : Dpp_netlist.Design.t -> float
 (** Convenience: evaluates at the design's current placement. *)
-
-val per_net : Pins.t -> cx:float array -> cy:float array -> float array
-(** Unweighted HPWL per net (fresh array). *)

@@ -175,7 +175,6 @@ let build ?pool ?reuse (pins : Pins.t) ~cx ~cy =
 
 let pins t = t.pins
 let total t = t.total
-let in_transaction t = t.active
 let net_box t n = t.xmin.(n), t.xmax.(n), t.ymin.(n), t.ymax.(n)
 
 let grow_int a = let b = Array.make (2 * Array.length a) 0 in Array.blit a 0 b 0 (Array.length a); b

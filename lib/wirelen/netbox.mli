@@ -35,8 +35,6 @@ val pins : t -> Pins.t
 val total : t -> float
 (** Committed weighted HPWL (ignores any open transaction). *)
 
-val in_transaction : t -> bool
-
 val net_box : t -> int -> float * float * float * float
 (** Committed [(xmin, xmax, ymin, ymax)] of one net (meaningless for
     degree < 2). *)

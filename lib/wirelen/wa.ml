@@ -73,5 +73,3 @@ let value_grad t ~gamma ~cx ~cy ~gx ~gy =
     end
   done;
   !acc
-
-let error_bound ~gamma = 4.0 *. gamma

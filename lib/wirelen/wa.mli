@@ -20,11 +20,6 @@ val value_grad :
   float
 (** Same contract as {!Lse.value_grad}: gradients accumulate into [gx]/[gy]. *)
 
-val error_bound : gamma:float -> float
-(** Per-net, per-axis worst-case deviation from HPWL: the WA model error is
-    bounded by [gamma] times a small constant; we use the loose bound
-    [4 * gamma] from the TCAD analysis for tests. *)
-
 val axis_value_grad :
   float array ->
   int ->

@@ -121,16 +121,6 @@ let test_bell_spreading_reduces_penalty () =
   let piled = Bell.value bell ~cx:piled_x ~cy:piled_y in
   Alcotest.(check bool) "pile costs more" true (piled > spread)
 
-let test_bell_frozen_excluded () =
-  let d = Tutil.random_design ~cells:8 ~nets:4 13 in
-  let g = Grid.build d ~nx:6 ~ny:6 in
-  let bell_all = Bell.create d ~grid:g ~target_density:1.0 in
-  let bell_frozen = Bell.create ~frozen:(fun i -> i < 4) d ~grid:g ~target_density:1.0 in
-  let cx, cy = Pins.centers_of_design d in
-  let phi_all = Array.fold_left ( +. ) 0.0 (Bell.bin_potential bell_all ~cx ~cy) in
-  let phi_frozen = Array.fold_left ( +. ) 0.0 (Bell.bin_potential bell_frozen ~cx ~cy) in
-  Alcotest.(check bool) "frozen cells removed from field" true (phi_frozen < phi_all)
-
 (* ---------------- Overflow ---------------- *)
 
 let test_overflow_exact () =
@@ -185,7 +175,6 @@ let suite =
     Alcotest.test_case "bell gradient fd" `Quick test_bell_gradient_fd;
     Alcotest.test_case "bell value positive" `Quick test_bell_value_positive;
     Alcotest.test_case "bell spreading" `Quick test_bell_spreading_reduces_penalty;
-    Alcotest.test_case "bell frozen excluded" `Quick test_bell_frozen_excluded;
     Alcotest.test_case "overflow exact" `Quick test_overflow_exact;
     Alcotest.test_case "overflow spread" `Quick test_overflow_zero_when_spread;
     Alcotest.test_case "overflow frozen" `Quick test_overflow_frozen;

@@ -179,7 +179,7 @@ let test_apply_rejects_bad_edits () =
   Alcotest.(check bool) "empty" true
     (match Eco.apply base [] with exception Invalid_argument _ -> true | _ -> false)
 
-let test_edit_json_roundtrip () =
+let test_edit_json_codec () =
   let edits =
     [
       Eco.Move { cell = 3; dx = 1.5; dy = -10.0 };
@@ -250,7 +250,7 @@ let suite =
     Alcotest.test_case "apply resize+add" `Quick test_apply_resize_and_add;
     Alcotest.test_case "apply rewire" `Quick test_apply_rewire;
     Alcotest.test_case "apply rejects bad edits" `Quick test_apply_rejects_bad_edits;
-    Alcotest.test_case "edit json roundtrip" `Quick test_edit_json_roundtrip;
+    Alcotest.test_case "edit json roundtrip" `Quick test_edit_json_codec;
     Alcotest.test_case "plan bounds dirty set" `Quick test_plan_bounds_dirty_set;
     Alcotest.test_case "differential dp_mix_l" `Slow test_differential_dp_mix_l;
     Alcotest.test_case "differential xl10k" `Slow test_differential_xl10k;

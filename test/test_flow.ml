@@ -64,12 +64,6 @@ let test_flow_deterministic () =
   let r2 = Flow.run d small_cfg in
   Alcotest.(check (float 1e-9)) "same hpwl" r1.Flow.hpwl_final r2.Flow.hpwl_final
 
-let test_flow_ground_truth_source () =
-  let d = flow_design () in
-  let r = Flow.run d { small_cfg with Config.group_source = Config.Ground_truth } in
-  Alcotest.(check bool) "no extraction with truth source" true (r.Flow.extraction = None);
-  Alcotest.(check bool) "groups from labels" true (r.Flow.groups_used <> [])
-
 let test_flow_soft_mode () =
   let d = flow_design () in
   let r = Flow.run d (Config.with_structure Config.Soft_alignment small_cfg) in
@@ -155,7 +149,8 @@ let test_wrappers_agree_with_flow () =
   ignore (Flow.run_stages ~stages d cfg);
   Alcotest.(check bool) "extraction found groups" true (!groups <> []);
   Alcotest.(check bool) "Slicer.run returns the extract stage's groups" true
-    ((Dpp_extract.Slicer.run d cfg.Config.extract).Dpp_extract.Slicer.groups = !groups);
+    ((Dpp_extract.Slicer.run d Dpp_extract.Slicer.default_config).Dpp_extract.Slicer.groups
+    = !groups);
   let qp = Dpp_place.Qp.run ~seed:cfg.Config.seed d in
   let cx, cy = !centres in
   Alcotest.(check bool) "Qp.run returns the init stage's centres" true
@@ -175,13 +170,35 @@ let test_legal_failed_traced () =
   Alcotest.(check bool) "legal_failed matches the legalizer's count" true
     (List.assoc_opt "legal_failed" legal.Trace.extra = Some (Json.Num (float_of_int !failed)))
 
+(* The coarse hierarchy is read by the gp-boundary oracle only; the snap
+   stage releases it so the coarse designs are not live through the
+   fine-grained stages. *)
+let test_ml_levels_released () =
+  let d = Compose.build (Option.get (Dpp_gen.Presets.by_name "dp_mix_s")) in
+  let cfg = { small_cfg with Config.multilevel = Config.Ml_on } in
+  let after_gp = ref 0 and after_snap = ref (-1) in
+  let stages =
+    Flow.stages cfg
+    |> probe_after "gp" (fun ctx -> after_gp := List.length ctx.Ctx.ml_levels)
+    |> probe_after "snap" (fun ctx -> after_snap := List.length ctx.Ctx.ml_levels)
+  in
+  ignore (Flow.run_stages ~stages d cfg);
+  Alcotest.(check bool) "levels live after gp" true (!after_gp > 0);
+  Alcotest.(check int) "levels released by snap" 0 !after_snap
+
+let test_multilevel_threshold () =
+  let cfg = Config.structure_aware in
+  Alcotest.(check bool) "1500 movables stay flat" false
+    (Config.multilevel_enabled cfg ~movables:1500);
+  Alcotest.(check bool) "1501 movables go multilevel" true
+    (Config.multilevel_enabled cfg ~movables:1501)
+
 let suite =
   [
     Alcotest.test_case "baseline legal" `Slow test_flow_baseline_legal;
     Alcotest.test_case "structure-aware legal" `Slow test_flow_structure_aware_legal;
     Alcotest.test_case "input untouched" `Slow test_flow_input_untouched;
     Alcotest.test_case "deterministic" `Slow test_flow_deterministic;
-    Alcotest.test_case "ground-truth source" `Slow test_flow_ground_truth_source;
     Alcotest.test_case "soft mode" `Slow test_flow_soft_mode;
     Alcotest.test_case "invalid design" `Quick test_flow_invalid_design_raises;
     Alcotest.test_case "times recorded" `Slow test_flow_times_recorded;
@@ -189,4 +206,6 @@ let suite =
     Alcotest.test_case "no-group tie" `Slow test_flow_no_groups_ties_baseline;
     Alcotest.test_case "wrappers agree with flow" `Slow test_wrappers_agree_with_flow;
     Alcotest.test_case "legal failed count traced" `Slow test_legal_failed_traced;
+    Alcotest.test_case "coarse levels released after gp" `Slow test_ml_levels_released;
+    Alcotest.test_case "multilevel threshold" `Quick test_multilevel_threshold;
   ]

@@ -109,7 +109,7 @@ let test_inflation_budget_clamped () =
   | [] -> ()
   | v :: _ -> Alcotest.failf "ledger oracle: %s" (Check.Violation.to_string v)
 
-let test_bell_inflation_roundtrip () =
+let test_bell_inflate_reset () =
   let d = channel in
   let nx, ny = Grid.default_dims d in
   let grid = Grid.build d ~nx ~ny in
@@ -148,6 +148,6 @@ let suite =
     Alcotest.test_case "congestion improves at bounded hpwl" `Slow test_congestion_improves;
     Alcotest.test_case "steered trajectory jobs-independent" `Slow test_jobs_determinism;
     Alcotest.test_case "inflation budget clamped" `Quick test_inflation_budget_clamped;
-    Alcotest.test_case "bell inflation round-trip" `Quick test_bell_inflation_roundtrip;
+    Alcotest.test_case "bell inflation round-trip" `Quick test_bell_inflate_reset;
     Alcotest.test_case "routability off is inert" `Quick test_rt_disabled_is_clean;
   ]
