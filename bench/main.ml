@@ -656,7 +656,10 @@ let run_rt_bench () =
    must be bit-identical to themselves at 1.  Only then are wall-clock,
    max-RSS (VmHWM) and Gc heap recorded, plus one full flow at 100k, a
    streaming-parse allocation note, and a PEKO run reporting the
-   absolute optimality gap.  Emits BENCH_xl.json. *)
+   absolute optimality gap.  After the sweep, each size times the flow's
+   extraction ([Slicer.run] and the ground-truth comparison) as
+   [extract_s], the input of dpp_perfguard's scaling leg.  Emits
+   BENCH_xl.json. *)
 let run_xl_bench () =
   let module Design = Dpp_netlist.Design in
   let module Soa = Dpp_netlist.Soa in
@@ -675,6 +678,8 @@ let run_xl_bench () =
   let module R = Dpp_refkernels.Record_path in
   let module Flow = Dpp_core.Flow in
   let module Config = Dpp_core.Config in
+  let module Slicer = Dpp_extract.Slicer in
+  let module Exmetrics = Dpp_extract.Exmetrics in
   (* The sweep's per-size top-heap mark is a committed, gated number:
      cap the major heap's growth headroom so the mark tracks the live
      set instead of the default 120% free-space slack.  Wall times are
@@ -870,6 +875,24 @@ let run_xl_bench () =
   say "XL: all SoA kernels bit-identical to the record path on %s"
     (String.concat ", " sizes);
   say "XL: pooled kernels bit-stable at 1/2/4 worker domains on every size";
+  (* --- extraction as the flow's extract stage runs it, per size ---
+     timed only once every size's memory marks are sampled: VmHWM and
+     top-heap are process-monotone, so an extraction inside the sweep
+     would lift the next size's marks *)
+  let extract_s =
+    List.map
+      (fun name ->
+        Gc.compact ();
+        let d = Option.get (Dpp_gen.Xl.by_name ~seed:1 name) in
+        let s =
+          best (fun () ->
+              let r = Slicer.run d Slicer.default_config in
+              ignore (Exmetrics.compare_to_truth ~truth:d.Design.groups ~found:r.Slicer.groups))
+        in
+        say "  %-7s extract (Slicer.run + compare_to_truth) %7.3f s" name s;
+        s)
+      sizes
+  in
   (* per-stage memory ledger entries for the flow JSON objects: wall
      clock plus the VmHWM / top-heap marks each Trace.stage recorded *)
   let module Trace = Dpp_report.Trace in
@@ -1006,11 +1029,11 @@ let run_xl_bench () =
     {|{"sizes":[%s],"speedup_at_largest":{"size":"%s",%s},"determinism":{"jobs":[1,2,4],"bit_identical":true},"parse":{"design":"%s","read_s":%.3f,"alloc_mwords":%.1f,"words_per_pin":%.1f,"reader":"streaming"},"flow":{"design":"xl100k","cells":%d,"wall_s":%.2f,"hpwl":%.1f,"stages":[%s]},"flow_xl1m":%s,"peko":{"cells":%d,"optimal_hpwl":%.1f,"flow_hpwl":%.1f,"gap_pct":%.2f,"wall_s":%.2f}}
 |}
     (String.concat ","
-       (List.map
-          (fun (name, cells, nets, npins, gen_s, derive_s, timed, hwm, heap) ->
+       (List.map2
+          (fun (name, cells, nets, npins, gen_s, derive_s, timed, hwm, heap) extract_s ->
             Printf.sprintf
-              {|{"name":"%s","cells":%d,"nets":%d,"pins":%d,"gen_s":%.3f,"soa_derive_s":%.3f,"vm_hwm_kb":%d,"top_heap_kb":%d,"kernels":{%s}}|}
-              name cells nets npins gen_s derive_s hwm heap
+              {|{"name":"%s","cells":%d,"nets":%d,"pins":%d,"gen_s":%.3f,"soa_derive_s":%.3f,"vm_hwm_kb":%d,"top_heap_kb":%d,"extract_s":%.4f,"kernels":{%s}}|}
+              name cells nets npins gen_s derive_s hwm heap extract_s
               (String.concat ","
                  (List.map
                     (fun (kname, ts, tr) ->
@@ -1018,7 +1041,7 @@ let run_xl_bench () =
                         {|"%s":{"soa_s":%.4f,"record_s":%.4f,"speedup":%.3f}|} kname ts
                         tr (tr /. ts))
                     timed)))
-          rows))
+          rows extract_s))
     largest
     (String.concat ","
        (List.map

@@ -19,7 +19,12 @@
 
    Sizes, kernels or memory fields present in only one file are
    skipped, so the guard keeps working when the sweep is capped via
-   DPP_XL_MAX or when an older reference predates the memory ledger. *)
+   DPP_XL_MAX or when an older reference predates the memory ledger.
+
+   Scaling leg: the least-squares slope of log [extract_s] against log
+   [cells] over the fresh file's sizes (at least three), failing above
+   1.5.  It reads nothing from the reference, so a superlinear
+   extraction trips it on any runner without a refreshed baseline. *)
 
 module Json = Dpp_report.Json
 
@@ -44,6 +49,18 @@ let num path v =
 (* memory fields are optional (older references predate the ledger) —
    no warning when absent, the join just skips them *)
 let num_opt v = match v with Some (Json.Num f) -> Some f | _ -> None
+
+let max_extract_exponent = 1.5
+
+(* least-squares slope of log y against log x *)
+let loglog_slope pts =
+  let n = float_of_int (List.length pts) in
+  let lx = List.map (fun (x, _) -> log x) pts and ly = List.map (fun (_, y) -> log y) pts in
+  let mean l = List.fold_left ( +. ) 0.0 l /. n in
+  let mx = mean lx and my = mean ly in
+  let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0.0 lx ly in
+  let sxx = List.fold_left (fun a x -> a +. ((x -. mx) *. (x -. mx))) 0.0 lx in
+  sxy /. sxx
 
 let () =
   let ref_path, fresh_path, wall_tol, mem_tol =
@@ -124,6 +141,23 @@ let () =
     num_opt (Option.bind (Json.member "flow_xl1m" doc) (Json.member "vm_hwm_kb"))
   in
   check_mem "flow xl1m vm_hwm" (xl1m_hwm reference) (xl1m_hwm fresh);
+  let extract_pts =
+    List.filter_map
+      (fun (_, x) ->
+        match num_opt (Json.member "cells" x), num_opt (Json.member "extract_s" x) with
+        | Some c, Some t when t > 0.0 -> Some (c, t)
+        | _ -> None)
+      (sizes fresh)
+  in
+  (match List.length extract_pts with
+  | n when n >= 3 ->
+    let e = loglog_slope extract_pts in
+    let bad = e > max_extract_exponent in
+    if bad then incr failures;
+    Printf.printf "%-28s exponent %.2f over %d sizes (max %.2f) %s\n" "extract scaling" e n
+      max_extract_exponent
+      (if bad then "FAIL" else "ok")
+  | n -> Printf.printf "%-28s skipped: %d sizes carry extract_s, 3 needed\n" "extract scaling" n);
   if !failures > 0 then begin
     Printf.printf "%d regression(s) past tolerance (wall %.1fx, mem %.1fx)\n" !failures
       wall_tol mem_tol;

@@ -18,6 +18,9 @@ type t = {
 
 val compare_to_truth :
   truth:Dpp_netlist.Groups.t list -> found:Dpp_netlist.Groups.t list -> t
+(** One pass over each side: linear in the cells (arrays indexed up to
+    the largest cell id) plus the group sizes.  Holes and a cell repeated
+    within a group count once; true groups may overlap. *)
 
 val header : string list
 val to_row : string -> t -> string list

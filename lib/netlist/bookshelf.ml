@@ -144,31 +144,41 @@ let next_line lr =
     lr.lr_num <- lr.lr_num + 1;
     Some l
 
-let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') s
+(* A comment line's first character past [String.trim]'s whitespace is '#'. *)
+let is_comment l =
+  let n = String.length l in
+  let rec go i =
+    i < n && match l.[i] with ' ' | '\012' | '\n' | '\r' | '\t' -> go (i + 1) | c -> c = '#'
+  in
+  go 0
 
-let is_comment s =
-  let s = String.trim s in
-  String.length s >= 1 && s.[0] = '#'
+(* One right-to-left scan: the tokens are the maximal runs of characters
+   other than space, tab, CR and ':', and each ':' is a token of its own. *)
+let tokens l =
+  let acc = ref [] and stop = ref (String.length l) in
+  for i = String.length l - 1 downto 0 do
+    match l.[i] with
+    | (' ' | '\t' | '\r' | ':') as c ->
+      if !stop > i + 1 then acc := String.sub l (i + 1) (!stop - i - 1) :: !acc;
+      if c = ':' then acc := ":" :: !acc;
+      stop := i
+    | _ -> ()
+  done;
+  if !stop > 0 then String.sub l 0 !stop :: !acc else !acc
 
-(* Next meaningful line, tokenized on whitespace (':' split out). *)
+(* Next meaningful line as tokens: comments, blank lines and a line-1
+   "UCLA" header are skipped. *)
 let rec next_tokens lr =
   match next_line lr with
   | None -> None
-  | Some l when is_blank l || is_comment l -> next_tokens lr
-  | Some l when lr.lr_num = 1 && String.length l >= 4 && String.sub l 0 4 = "UCLA" ->
-    next_tokens lr
-  | Some l ->
-    let l = String.map (fun c -> if c = '\t' || c = '\r' then ' ' else c) l in
-    let l =
-      String.concat " : " (String.split_on_char ':' l)
-    in
-    let toks = List.filter (fun s -> s <> "") (String.split_on_char ' ' l) in
-    if toks = [] then next_tokens lr else Some toks
+  | Some l when is_comment l -> next_tokens lr
+  | Some l when lr.lr_num = 1 && String.starts_with ~prefix:"UCLA" l -> next_tokens lr
+  | Some l -> ( match tokens l with [] -> next_tokens lr | toks -> Some toks)
 
 let float_tok lr s =
   match float_of_string_opt s with
-  | Some f -> f
-  | None -> parse_error lr.lr_file lr.lr_num "expected a number, got %S" s
+  | Some f when Float.is_finite f -> f
+  | Some _ | None -> parse_error lr.lr_file lr.lr_num "expected a finite number, got %S" s
 
 let int_tok lr s =
   match int_of_string_opt s with
@@ -249,6 +259,8 @@ let stream_nodes path b ~fixed_names ~masters =
         | None -> ()
         | Some [ "NumNodes"; ":"; _ ] | Some [ "NumTerminals"; ":"; _ ] -> loop ()
         | Some (name :: w :: h :: rest) ->
+          if Option.is_some (Builder.cell_id b name) then
+            parse_error lr.lr_file lr.lr_num "duplicate node %s" name;
           let terminal = List.mem "terminal" rest in
           let terminal_ni = List.mem "terminal_NI" rest in
           let w = float_tok lr w and h = float_tok lr h in
@@ -262,6 +274,8 @@ let stream_nodes path b ~fixed_names ~masters =
               if w *. h <= 1e-9 then Types.Pad else Types.Fixed
             else Types.Movable
           in
+          if kind = Types.Movable && (w <= 0.0 || h <= 0.0) then
+            parse_error lr.lr_file lr.lr_num "movable node %s has size %g x %g" name w h;
           let master =
             match Hashtbl.find_opt masters name with Some m -> m | None -> "UNKNOWN"
           in
@@ -286,19 +300,23 @@ let stream_nets path b =
           current_pins := []
         end
       in
+      let start_net name k =
+        let k = int_tok lr k in
+        if k < 1 then parse_error lr.lr_file lr.lr_num "net %s: degree %d" name k;
+        current_name := name;
+        current_left := k
+      in
       let rec loop () =
         match next_tokens lr with
         | None -> flush ()
         | Some [ "NumNets"; ":"; _ ] | Some [ "NumPins"; ":"; _ ] -> loop ()
         | Some [ "NetDegree"; ":"; k; name ] ->
           flush ();
-          current_name := name;
-          current_left := int_tok lr k;
+          start_net name k;
           loop ()
         | Some [ "NetDegree"; ":"; k ] ->
           flush ();
-          current_name := Printf.sprintf "n%d" (Builder.num_nets b);
-          current_left := int_tok lr k;
+          start_net (Printf.sprintf "n%d" (Builder.num_nets b)) k;
           loop ()
         | Some [ cell; dir; ":"; dx; dy ] when !current_name <> "" ->
           let d =
@@ -307,9 +325,7 @@ let stream_nets path b =
             | None -> parse_error lr.lr_file lr.lr_num "bad pin direction %S" dir
           in
           (match Builder.cell_id b cell with
-          | None ->
-            raise
-              (Parse_error (Printf.sprintf "net %s: unknown cell %s" !current_name cell))
+          | None -> parse_error lr.lr_file lr.lr_num "net %s: unknown cell %s" !current_name cell
           | Some cid ->
             let cw, ch = Builder.cell_dims b cid in
             (* center-relative -> lower-left-relative *)
@@ -355,6 +371,8 @@ let read_scl path =
           loop ()
         | Some [ "Sitewidth"; ":"; w ] ->
           site_width := float_tok lr w;
+          if !site_width <= 0.0 then
+            parse_error lr.lr_file lr.lr_num "Sitewidth must be positive, got %g" !site_width;
           loop ()
         | Some [ "SubrowOrigin"; ":"; x; "NumSites"; ":"; n ] ->
           x0 := float_tok lr x;
@@ -363,7 +381,7 @@ let read_scl path =
         | Some _ -> loop ()
       in
       loop ();
-      if !count = 0 || !height <= 0.0 then
+      if !count = 0 || !height <= 0.0 || !y0 = infinity then
         parse_error lr.lr_file lr.lr_num "scl file defines no usable rows";
       {
         rr_count = !count;
@@ -392,34 +410,38 @@ let read_masters path =
       loop ();
       tbl)
 
-let read_groups path =
+(* Group rows name their cells, so this runs once the nodes are in [b]. *)
+let stream_groups path b =
   with_reader path (fun lr ->
-      let groups = ref [] in
-      let rec read_rows n acc =
-        if n = 0 then List.rev acc
-        else
-          match next_tokens lr with
-          | None -> parse_error lr.lr_file lr.lr_num "truncated group"
-          | Some toks -> read_rows (n - 1) (Array.of_list toks :: acc)
+      let read_row name stages =
+        match next_tokens lr with
+        | None -> parse_error lr.lr_file lr.lr_num "group %s: truncated" name
+        | Some toks ->
+          if List.length toks <> stages then
+            parse_error lr.lr_file lr.lr_num "group %s: bad row width" name;
+          Array.of_list
+            (List.map
+               (fun cname ->
+                 if cname = "-" then -1
+                 else
+                   match Builder.cell_id b cname with
+                   | Some id -> id
+                   | None -> parse_error lr.lr_file lr.lr_num "group %s: unknown cell %s" name cname)
+               toks)
       in
       let rec loop () =
         match next_tokens lr with
         | None -> ()
         | Some [ "Group"; name; slices; stages ] ->
           let slices = int_tok lr slices and stages = int_tok lr stages in
-          let rows = read_rows slices [] in
-          List.iter
-            (fun r ->
-              if Array.length r <> stages then
-                parse_error lr.lr_file lr.lr_num "group %s: bad row width" name)
-            rows;
-          groups := (name, Array.of_list rows) :: !groups;
+          if slices < 1 || stages < 1 then
+            parse_error lr.lr_file lr.lr_num "group %s: %d slices x %d stages" name slices stages;
+          Builder.add_group b (Groups.make name (Array.init slices (fun _ -> read_row name stages)));
           loop ()
         | Some toks ->
           parse_error lr.lr_file lr.lr_num "bad groups line: %s" (String.concat " " toks)
       in
-      loop ();
-      List.rev !groups)
+      loop ())
 
 let read ~basename =
   let dir = Filename.dirname basename in
@@ -442,11 +464,11 @@ let read ~basename =
   let nodes_path = require ".nodes" in
   let nets_path = require ".nets" in
   let pl_path = require ".pl" in
-  let rows = read_scl (require ".scl") in
+  let scl_path = require ".scl" in
+  let rows = read_scl scl_path in
   let masters =
     match find_ext ".masters" with Some f -> read_masters f | None -> Hashtbl.create 0
   in
-  let raw_groups = match find_ext ".groups" with Some f -> read_groups f | None -> [] in
   let die_w =
     if rows.rr_sites > 0 then float_of_int rows.rr_sites *. rows.rr_site_width
     else
@@ -458,26 +480,16 @@ let read ~basename =
       ~yh:(rows.rr_y0 +. (float_of_int rows.rr_count *. rows.rr_height))
   in
   let b =
-    Builder.create ~name:(Filename.basename basename) ~die ~row_height:rows.rr_height
-      ~site_width:rows.rr_site_width ()
+    (* the Builder checks that the rows tile the die; rows it rejects (an
+       extent past the float range or lost to rounding) are malformed *)
+    try
+      Builder.create ~name:(Filename.basename basename) ~die ~row_height:rows.rr_height
+        ~site_width:rows.rr_site_width ()
+    with Invalid_argument msg -> raise (Parse_error (Printf.sprintf "%s: %s" scl_path msg))
   in
   let fixed_names = read_fixed_names pl_path in
   stream_nodes nodes_path b ~fixed_names ~masters;
   stream_pl pl_path b;
   stream_nets nets_path b;
-  List.iter
-    (fun (name, rows) ->
-      let id_rows =
-        Array.map
-          (Array.map (fun cname ->
-               if cname = "-" then -1
-               else
-                 match Builder.cell_id b cname with
-                 | Some id -> id
-                 | None ->
-                   raise (Parse_error (Printf.sprintf "group %s: unknown cell %s" name cname))))
-          rows
-      in
-      Builder.add_group b (Groups.make name id_rows))
-    raw_groups;
+  Option.iter (fun f -> stream_groups f b) (find_ext ".groups");
   Builder.finish b

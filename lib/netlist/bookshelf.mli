@@ -20,7 +20,18 @@
     trip (cells, nets, placements and groups survive exactly). *)
 
 exception Parse_error of string
-(** Raised with a "file:line: message" payload on malformed input. *)
+(** Raised with a "file:line: message" payload on malformed input.  Every
+    malformed input ends here, never in another exception: a bad token, a
+    non-finite number ([nan], [inf]), a duplicate node name, a movable node
+    without positive size, a non-positive [Sitewidth], a net of degree 0 or
+    with a wrong pin count, an unknown cell name, or a group header with no
+    slices or stages.  A missing [.aux] entry names only the [.aux] file,
+    and rows that do not tile a die only the [.scl] file.
+
+    Lines are split into the maximal runs of characters other than space,
+    tab, CR and [':'], with each [':'] a token of its own; blank lines,
+    lines whose first non-blank character is ['#'], and a first line
+    starting with [UCLA] are skipped. *)
 
 val write : Design.t -> basename:string -> unit
 

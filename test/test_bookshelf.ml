@@ -6,6 +6,7 @@ module Types = Dpp_netlist.Types
 module Groups = Dpp_netlist.Groups
 module Bookshelf = Dpp_netlist.Bookshelf
 module Validate = Dpp_netlist.Validate
+module Builder = Dpp_netlist.Builder
 
 let small_spec =
   {
@@ -16,17 +17,31 @@ let small_spec =
     sp_utilization = 0.7;
   }
 
-let roundtrip d =
+(* Write [d] under a fresh directory, hand [f] the basename, and remove
+   the directory afterwards. *)
+let with_written d f =
   let dir = Filename.temp_file "dpp_bs" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let base = Filename.concat dir "t" in
   Bookshelf.write d ~basename:base;
-  let d' = Bookshelf.read ~basename:base in
-  (* clean up *)
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
-  d'
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f base)
+
+let roundtrip d = with_written d (fun base -> Bookshelf.read ~basename:base)
+
+(* The lines of a file without its final newline, and back. *)
+let read_lines path =
+  match List.rev (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)) with
+  | "" :: rest -> List.rev rest
+  | lines -> List.rev lines
+
+let write_lines path lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
 
 let test_roundtrip_counts () =
   let d = Dpp_gen.Compose.build small_spec in
@@ -166,6 +181,106 @@ let test_malformed () =
   Sys.remove path;
   Alcotest.(check bool) "malformed aux raises Parse_error" true result
 
+(* Tab separators, CRLF line ends, ':' glued to its neighbours, indented
+   '#' comments and tab-only lines: the tokenizer's rules, pinned on every
+   file a design is written to (the line-1 "UCLA" header stays first). *)
+let test_tokenizer_quirks () =
+  let d = Dpp_gen.Compose.build small_spec in
+  Array.iteri
+    (fun k i -> Design.set_center d i (10.0 +. float_of_int k) 15.0)
+    (Design.movable_ids d);
+  with_written d (fun base ->
+      let clean = Bookshelf.read ~basename:base in
+      List.iter
+        (fun ext ->
+          let path = base ^ ext in
+          let quirky i l =
+            let l = String.concat ":" (List.map String.trim (String.split_on_char ':' l)) in
+            let l = if i mod 2 = 1 then String.map (fun c -> if c = ' ' then '\t' else c) l else l in
+            (l ^ "\r")
+            :: (if i mod 2 = 0 then [ "   # an indented comment : with a colon\r" ] else [ "\t\t" ])
+          in
+          write_lines path (List.concat (List.mapi quirky (read_lines path))))
+        [ ".aux"; ".nodes"; ".nets"; ".pl"; ".scl"; ".masters"; ".groups" ];
+      Alcotest.(check bool) "the quirks reached the files" true
+        (List.exists (String.starts_with ~prefix:"NumNodes:") (read_lines (base ^ ".nodes")));
+      let d' = Bookshelf.read ~basename:base in
+      Alcotest.(check bool) "cells" true (clean.Design.cells = d'.Design.cells);
+      Alcotest.(check bool) "pins" true (clean.Design.pins = d'.Design.pins);
+      Alcotest.(check bool) "nets" true (clean.Design.nets = d'.Design.nets);
+      Alcotest.(check bool) "positions" true
+        (clean.Design.x = d'.Design.x && clean.Design.y = d'.Design.y
+        && clean.Design.orient = d'.Design.orient);
+      Alcotest.(check bool) "groups" true (clean.Design.groups = d'.Design.groups);
+      Alcotest.(check bool) "rows and die" true
+        (clean.Design.die = d'.Design.die && clean.Design.num_rows = d'.Design.num_rows))
+
+(* Two movable cells on one net, in one 1x2 group. *)
+let tiny_design () =
+  let b =
+    Builder.create ~name:"tiny"
+      ~die:(Dpp_geom.Rect.make ~xl:0.0 ~yl:0.0 ~xh:40.0 ~yh:20.0)
+      ~row_height:10.0 ~site_width:1.0 ()
+  in
+  let cell name = Builder.add_cell b ~name ~master:"INV" ~w:2.0 ~h:10.0 ~kind:Types.Movable in
+  let a = cell "a" and c = cell "c" in
+  let pa = Builder.add_pin b ~cell:a ~dir:Types.Output () in
+  let pc = Builder.add_pin b ~cell:c ~dir:Types.Input () in
+  ignore (Builder.add_net b ~name:"n0" [ pa; pc ]);
+  Builder.add_group b (Groups.make "g0" [| [| a; c |] |]);
+  Builder.finish b
+
+(* Replace the first line of the [ext] file that starts with [prefix] by
+   [by]: reading must raise [Parse_error] naming that file and line. *)
+let expect_parse_error ~ext ~prefix ~by () =
+  with_written (tiny_design ()) (fun base ->
+      let path = base ^ ext in
+      let lines = read_lines path in
+      let line = ref 0 in
+      write_lines path
+        (List.mapi
+           (fun i l ->
+             if !line = 0 && String.starts_with ~prefix l then begin
+               line := i + 1;
+               by
+             end
+             else l)
+           lines);
+      if !line = 0 then Alcotest.failf "%s has no line starting with %S" ext prefix;
+      let want = Printf.sprintf "%s:%d: " path !line in
+      match Bookshelf.read ~basename:base with
+      | _ -> Alcotest.failf "read accepted %S in %s" by ext
+      | exception Bookshelf.Parse_error msg ->
+        if not (String.starts_with ~prefix:want msg) then
+          Alcotest.failf "message %S does not start with %S" msg want)
+
+let malformed =
+  [
+    "duplicate node name", ".nodes", "  c ", "  a 2.0000 10.0000";
+    "movable node of width 0", ".nodes", "  a ", "  a 0 10.0000";
+    "Sitewidth 0", ".scl", "  Sitewidth", "  Sitewidth : 0";
+    "group of 0 slices", ".groups", "Group", "Group g 0 1";
+    "nan coordinate", ".pl", "a ", "a nan 0.0000 : N";
+    "inf coordinate", ".pl", "c ", "c 10.0000 inf : N";
+    "net of degree 0", ".nets", "NetDegree", "NetDegree : 0  n0";
+    "group with an unknown cell", ".groups", "  ", "  a zz";
+  ]
+
+(* Rows whose extent overflows: the die the Builder rejects is reported
+   against the .scl file. *)
+let test_rows_past_float_range () =
+  with_written (tiny_design ()) (fun base ->
+      let path = base ^ ".scl" in
+      write_lines path
+        (List.map
+           (fun l -> if String.starts_with ~prefix:"  Height" l then "  Height : 1e308" else l)
+           (read_lines path));
+      match Bookshelf.read ~basename:base with
+      | _ -> Alcotest.fail "read accepted rows of height 1e308"
+      | exception Bookshelf.Parse_error msg ->
+        if not (String.starts_with ~prefix:(path ^ ": ") msg) then
+          Alcotest.failf "message %S does not name %s" msg path)
+
 let suite =
   [
     Alcotest.test_case "roundtrip counts" `Quick test_roundtrip_counts;
@@ -178,4 +293,10 @@ let suite =
     Alcotest.test_case "roundtrip adversarial corners" `Quick test_roundtrip_adversarial;
     Alcotest.test_case "missing file" `Quick test_missing_file;
     Alcotest.test_case "malformed aux" `Quick test_malformed;
+    Alcotest.test_case "tokenizer quirks" `Quick test_tokenizer_quirks;
+    Alcotest.test_case "malformed: rows past the float range" `Quick test_rows_past_float_range;
   ]
+  @ List.map
+      (fun (name, ext, prefix, by) ->
+        Alcotest.test_case ("malformed: " ^ name) `Quick (expect_parse_error ~ext ~prefix ~by))
+      malformed

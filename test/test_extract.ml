@@ -196,6 +196,78 @@ let test_metrics_empty () =
   Alcotest.(check (float 1e-9)) "empty precision" 1.0 m.Exmetrics.precision;
   Alcotest.(check (float 1e-9)) "empty recall" 1.0 m.Exmetrics.recall
 
+(* The scoring against its definition: member-set unions for the cell
+   counts and [Groups.jaccard] for every found x true pair.  Cell ids come
+   from a small range so groups overlap and repeat a cell within one group;
+   some groups are all holes, some lists empty. *)
+let reference ~truth ~found =
+  let union groups =
+    let h = Hashtbl.create 64 in
+    List.iter (fun g -> Hashtbl.iter (fun c () -> Hashtbl.replace h c ()) (Groups.member_set g)) groups;
+    h
+  in
+  let ts = union truth and fs = union found in
+  let correct = Hashtbl.fold (fun c () n -> if Hashtbl.mem ts c then n + 1 else n) fs 0 in
+  let nf = Hashtbl.length fs and nt = Hashtbl.length ts in
+  let precision = if nf = 0 then 1.0 else float_of_int correct /. float_of_int nf in
+  let recall = if nt = 0 then 1.0 else float_of_int correct /. float_of_int nt in
+  {
+    Exmetrics.true_groups = List.length truth;
+    found_groups = List.length found;
+    matched_groups =
+      List.length
+        (List.filter (fun f -> List.exists (fun t -> Groups.jaccard f t >= 0.5) truth) found);
+    true_cells = nt;
+    found_cells = nf;
+    correct_cells = correct;
+    precision;
+    recall;
+    f1 =
+      (if precision +. recall <= 0.0 then 0.0
+       else 2.0 *. precision *. recall /. (precision +. recall));
+  }
+
+let same_metrics (a : Exmetrics.t) (b : Exmetrics.t) =
+  a.true_groups = b.true_groups && a.found_groups = b.found_groups
+  && a.matched_groups = b.matched_groups && a.true_cells = b.true_cells
+  && a.found_cells = b.found_cells && a.correct_cells = b.correct_cells
+  && Float.equal a.precision b.precision && Float.equal a.recall b.recall
+  && Float.equal a.f1 b.f1
+
+let prop_metrics_match_definition =
+  let group =
+    QCheck.Gen.(
+      let* slices = int_range 1 4 in
+      let* stages = int_range 1 4 in
+      let* holes_only = int_range 0 7 in
+      let cell = if holes_only = 0 then return (-1) else frequency [ 1, return (-1); 4, int_range 0 15 ] in
+      let+ rows = array_repeat slices (array_repeat stages cell) in
+      Groups.make "g" rows)
+  in
+  (* a few found groups are copies of true ones, so matches are common *)
+  let lists =
+    QCheck.Gen.(
+      let* truth = list_size (int_range 0 5) group in
+      let* found = list_size (int_range 0 5) group in
+      let+ copies = int_range 0 2 in
+      truth, found @ List.filteri (fun i _ -> i < copies) truth)
+  in
+  let print gs =
+    String.concat " | "
+      (List.map
+         (fun g ->
+           String.concat "; "
+             (Array.to_list
+                (Array.map
+                   (fun r -> String.concat "," (Array.to_list (Array.map string_of_int r)))
+                   g.Groups.g_rows)))
+         gs)
+  in
+  QCheck.Test.make ~name:"metrics match the pairwise definition" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair print print) lists)
+    (fun (truth, found) ->
+      same_metrics (Exmetrics.compare_to_truth ~truth ~found) (reference ~truth ~found))
+
 let suite =
   [
     Alcotest.test_case "netclass" `Quick test_netclass;
@@ -213,4 +285,5 @@ let suite =
     Alcotest.test_case "metrics perfect" `Quick test_metrics_perfect;
     Alcotest.test_case "metrics partial" `Quick test_metrics_partial;
     Alcotest.test_case "metrics empty" `Quick test_metrics_empty;
+    QCheck_alcotest.to_alcotest prop_metrics_match_definition;
   ]
