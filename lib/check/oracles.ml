@@ -238,6 +238,15 @@ let congestion ?pool ?(tol = 1e-9) ~pins d ~(stats : Rudy.stats) ~cx ~cy =
   check "overflowed_bins" s.Rudy.overflowed_bins stats.Rudy.overflowed_bins;
   List.rev !acc
 
+let steiner ~pins ~total ~cx ~cy =
+  let fresh = Dpp_steiner.Rsmt.total pins ~cx ~cy in
+  if Float.equal fresh total then []
+  else
+    [
+      Violation.v ~oracle:"steiner" ~subject:"total"
+        "stored %.17g differs from recomputed %.17g" total fresh;
+    ]
+
 let rt_ledger ?(tol = 1e-9) (rounds : Gp.rt_round list) =
   let oracle = "rt-ledger" in
   let acc = ref [] in

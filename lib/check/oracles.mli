@@ -98,6 +98,13 @@ val congestion :
     the oracle that catches a flow reporting congestion for coordinates a
     later mutation moved away from. *)
 
+val steiner :
+  pins:Dpp_wirelen.Pins.t -> total:float -> cx:float array -> cy:float array -> Violation.t list
+(** The stored Steiner total is [Float.equal] to a fresh
+    {!Dpp_steiner.Rsmt.total} over the same pin view and coordinates,
+    recomputing every net.  This is the oracle that catches a reused
+    per-net length whose net has in fact changed. *)
+
 val rt_ledger : ?tol:float -> Dpp_place.Gp.rt_round list -> Violation.t list
 (** Bookkeeping invariants of a routability-steering ledger
     ({!Dpp_place.Gp.result.rt_trace}): entries in round order; the

@@ -41,6 +41,9 @@ let run ~stage (ctx : Ctx.t) =
     oracle "congestion"
       (Check.congestion ~pool:ctx.Ctx.pool ~pins:ctx.Ctx.pins d ~stats ~cx ~cy)
   | _ -> ());
+  if stage = "metrics" then
+    oracle "steiner"
+      (Check.steiner ~pins:ctx.Ctx.pins ~total:ctx.Ctx.steiner_final ~cx ~cy);
   if List.mem stage legality_from then begin
     oracle "legal" (Check.legal d ~cx ~cy);
     match snapped_dgroups ctx with

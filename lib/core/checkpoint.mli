@@ -6,7 +6,10 @@
     rescan.  From legalization onward the full legality audit and the
     snapped-group rigidity oracle join in.  Earlier stages (init, gp, snap)
     legitimately hold overlapping or off-grid intermediate placements, so
-    legality is not asserted there.
+    legality is not asserted there.  The metrics boundary adds the
+    congestion and Steiner oracles: both recompute the stage's figures
+    from scratch over the context's own pin view, so a Steiner length
+    reused from an ECO base for a net that in fact changed fails here.
 
     Used by {!Flow.run} in check mode; a failing verdict there raises
     {!Flow.Check_failed} attributed to the stage that introduced it. *)

@@ -41,6 +41,7 @@ type t = {
   mutable flip_stats : Dpp_place.Flip.stats option;
   mutable hpwl_legal : float;
   mutable steiner_final : float;
+  mutable steiner : Dpp_steiner.Rsmt.nets;
   mutable congestion : Dpp_congest.Rudy.stats option;
   mutable critical_delay : float;
 }
@@ -79,6 +80,7 @@ let create design config =
     flip_stats = None;
     hpwl_legal = 0.0;
     steiner_final = 0.0;
+    steiner = Dpp_steiner.Rsmt.empty;
     congestion = None;
     critical_delay = 0.0;
   }

@@ -70,6 +70,12 @@ type t = {
   mutable flip_stats : Dpp_place.Flip.stats option;
   mutable hpwl_legal : float;
   mutable steiner_final : float;
+  mutable steiner : Dpp_steiner.Rsmt.nets;
+      (** per-net Steiner lengths behind [steiner_final]: {!Dpp_steiner.Rsmt.empty}
+          at creation, so a full flow recomputes every net.  An ECO
+          installs its base placement's record here before any stage,
+          and the metrics stage reuses each length whose pin coordinates
+          are unchanged, then replaces the field with its own record *)
   mutable congestion : Dpp_congest.Rudy.stats option;
   mutable critical_delay : float;
 }

@@ -1,5 +1,4 @@
 module Design = Dpp_netlist.Design
-module Builder = Dpp_netlist.Builder
 module Types = Dpp_netlist.Types
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
@@ -68,15 +67,21 @@ let edits_of_json = function
   | Json.Arr xs -> List.map edit_of_json xs
   | _ -> raise (Json.Parse_error "edits: expected an array")
 
-(* ----- edit application: rebuild the netlist with edits folded in -----
+(* ----- edit application: copy the netlist with edits folded in -----
 
-   Ids are preserved for every base entity (cells, nets, and group
-   references stay valid) because the builder hands them out in creation
-   order; cells added by [Add] edits take the ids after the base range. *)
+   The edited design is built straight from the base arrays.  Cell and
+   net ids are preserved (cells added by [Add] edits take the ids after
+   the base range), so group references stay valid.  Pins are numbered
+   afresh in net order, each net's added pins after its base pins, and
+   every cell lists its pins in pin-id order: the numbering a
+   {!Dpp_netlist.Builder} gives when cells are added in id order and
+   then nets with their pins in net order. *)
 
 let site_round (d : Design.t) w =
   let s = d.Design.site_width in
   Float.max s (Float.round (w /. s) *. s)
+
+let added_name j = Printf.sprintf "eco_add_%d" j
 
 type applied = {
   edited : Design.t;
@@ -126,75 +131,118 @@ let apply (base : Design.t) (edits : edit list) =
           nets;
         adds := (near, w, nets) :: !adds)
     edits;
-  let adds = List.rev !adds in
-  let b =
-    Builder.create ~name:base.Design.name ~die:base.Design.die
-      ~row_height:base.Design.row_height ~site_width:base.Design.site_width ()
+  let adds = Array.of_list (List.rev !adds) in
+  let nadd = Array.length adds in
+  let ncells = nc + nadd in
+  (* base names are unique already; only the added names can collide *)
+  if nadd > 0 then begin
+    let taken = Hashtbl.create 8 in
+    Array.iter
+      (fun (c : Types.cell) ->
+        if String.starts_with ~prefix:"eco_add_" c.Types.c_name then
+          Hashtbl.replace taken c.Types.c_name ())
+      base.Design.cells;
+    for j = 0 to nadd - 1 do
+      if Hashtbl.mem taken (added_name j) then
+        invalid_arg (Printf.sprintf "Eco.apply: duplicate cell name %S" (added_name j))
+    done
+  end;
+  let width =
+    Array.init ncells (fun i ->
+        if i >= nc then
+          let _, w, _ = adds.(i - nc) in
+          site_round base w
+        else
+          let w = (Design.cell base i).Types.c_width in
+          match Hashtbl.find_opt resizes i with Some s -> site_round base (w *. s) | None -> w)
   in
-  for i = 0 to nc - 1 do
-    let c = Design.cell base i in
-    let w =
-      match Hashtbl.find_opt resizes i with
-      | Some s -> site_round base (c.Types.c_width *. s)
-      | None -> c.Types.c_width
-    in
-    let id =
-      Builder.add_cell b ~name:c.Types.c_name ~master:c.Types.c_master ~w
-        ~h:c.Types.c_height ~kind:c.Types.c_kind
-    in
-    assert (id = i);
-    let dx, dy = try Hashtbl.find moves i with Not_found -> (0.0, 0.0) in
-    Builder.set_position b i ~x:(base.Design.x.(i) +. dx) ~y:(base.Design.y.(i) +. dy);
-    Builder.set_orient b i base.Design.orient.(i)
-  done;
-  let added_ids =
-    List.mapi
-      (fun j (near, w, _) ->
-        let id =
-          Builder.add_cell b
-            ~name:(Printf.sprintf "eco_add_%d" j)
-            ~master:"eco" ~w:(site_round base w) ~h:base.Design.row_height
-            ~kind:Types.Movable
-        in
-        Builder.set_position b id ~x:base.Design.x.(near) ~y:base.Design.y.(near);
-        id)
-      adds
+  let height i =
+    if i >= nc then base.Design.row_height else (Design.cell base i).Types.c_height
   in
-  (* per-net extra pins contributed by added cells *)
+  (* per base pin: the cell a rewire moves it to, or -1 *)
+  let target = Array.make (Design.num_pins base) (-1) in
+  Hashtbl.iter
+    (fun (n, k) to_cell -> target.((Design.net base n).Types.n_pins.(k)) <- to_cell)
+    rewires;
+  (* per-net extra pins contributed by added cells, in add order *)
   let extras = Array.make nn [] in
-  List.iteri
-    (fun j (_, _, nets) ->
-      let id = List.nth added_ids j in
-      List.iter (fun n -> extras.(n) <- id :: extras.(n)) nets)
+  Array.iteri
+    (fun j (_, _, nets) -> List.iter (fun n -> extras.(n) <- (nc + j) :: extras.(n)) nets)
     adds;
   Array.iteri (fun n e -> extras.(n) <- List.rev e) extras;
-  for n = 0 to nn - 1 do
-    let net = Design.net base n in
-    let base_pins =
-      Array.to_list
-        (Array.mapi
-           (fun k p ->
-             let pin = Design.pin base p in
-             match Hashtbl.find_opt rewires (n, k) with
-             | Some to_cell ->
-               (* the pin jumps to another cell: old offsets are relative to
-                  the old master's outline, so the default (center) is used *)
-               Builder.add_pin b ~cell:to_cell ~dir:pin.Types.p_dir ()
-             | None ->
-               Builder.add_pin b ~cell:pin.Types.p_cell ~dir:pin.Types.p_dir
-                 ~dx:pin.Types.p_dx ~dy:pin.Types.p_dy ())
-           net.Types.n_pins)
-    in
-    let extra_pins =
-      List.map (fun cell -> Builder.add_pin b ~cell ~dir:Types.Inout ()) extras.(n)
-    in
-    let id = Builder.add_net b ~name:net.Types.n_name ~weight:net.Types.n_weight
-        (base_pins @ extra_pins)
-    in
-    assert (id = n)
+  let npins =
+    Array.fold_left (fun acc (net : Types.net) -> acc + Array.length net.Types.n_pins) 0
+      base.Design.nets
+    + Array.fold_left (fun acc e -> acc + List.length e) 0 extras
+  in
+  let pins =
+    Array.make npins
+      { Types.p_id = -1; p_cell = -1; p_net = -1; p_dir = Types.Inout; p_dx = 0.0; p_dy = 0.0 }
+  in
+  let next = ref 0 in
+  let push ~net ~cell ~dir ~dx ~dy =
+    pins.(!next) <- { Types.p_id = !next; p_cell = cell; p_net = net; p_dir = dir; p_dx = dx; p_dy = dy };
+    incr next
+  in
+  (* rewired and added pins sit at the centre of their (resized) cell: a
+     rewired pin's old offsets are relative to another cell's outline *)
+  let centred ~net ~cell ~dir =
+    push ~net ~cell ~dir ~dx:(width.(cell) /. 2.0) ~dy:(height cell /. 2.0)
+  in
+  (* each net's pins take the next consecutive ids *)
+  let nets =
+    Array.init nn (fun n ->
+        let net = Design.net base n in
+        let first = !next in
+        Array.iter
+          (fun p ->
+            let pin = Design.pin base p in
+            if target.(p) >= 0 then centred ~net:n ~cell:target.(p) ~dir:pin.Types.p_dir
+            else
+              push ~net:n ~cell:pin.Types.p_cell ~dir:pin.Types.p_dir ~dx:pin.Types.p_dx
+                ~dy:pin.Types.p_dy)
+          net.Types.n_pins;
+        List.iter (fun cell -> centred ~net:n ~cell ~dir:Types.Inout) extras.(n);
+        { net with Types.n_id = n; n_pins = Array.init (!next - first) (fun k -> first + k) })
+  in
+  (* each cell's pins in pin-id order: a counting sort over the owners *)
+  let count = Array.make ncells 0 in
+  Array.iter (fun (p : Types.pin) -> count.(p.Types.p_cell) <- count.(p.Types.p_cell) + 1) pins;
+  let c_pins = Array.map (fun k -> Array.make k 0) count in
+  Array.fill count 0 ncells 0;
+  Array.iter
+    (fun (p : Types.pin) ->
+      let c = p.Types.p_cell in
+      c_pins.(c).(count.(c)) <- p.Types.p_id;
+      count.(c) <- count.(c) + 1)
+    pins;
+  let cells =
+    Array.init ncells (fun i ->
+        if i < nc then
+          { (Design.cell base i) with Types.c_id = i; c_width = width.(i); c_pins = c_pins.(i) }
+        else
+          { Types.c_id = i; c_name = added_name (i - nc); c_master = "eco"; c_width = width.(i);
+            c_height = base.Design.row_height; c_kind = Types.Movable; c_pins = c_pins.(i) })
+  in
+  (* moved cells shift by their net displacement, added ones start at
+     their [near] cell's position *)
+  let x = Array.make ncells 0.0 and y = Array.make ncells 0.0 in
+  for i = 0 to ncells - 1 do
+    if i < nc then begin
+      let dx, dy = Option.value (Hashtbl.find_opt moves i) ~default:(0.0, 0.0) in
+      x.(i) <- base.Design.x.(i) +. dx;
+      y.(i) <- base.Design.y.(i) +. dy
+    end
+    else begin
+      let near, _, _ = adds.(i - nc) in
+      x.(i) <- base.Design.x.(near);
+      y.(i) <- base.Design.y.(near)
+    end
   done;
-  List.iter (Builder.add_group b) base.Design.groups;
-  let edited = Builder.finish b in
+  let orient =
+    Array.init ncells (fun i -> if i < nc then base.Design.orient.(i) else Dpp_geom.Orient.N)
+  in
+  let edited = { base with Design.cells; nets; pins; x; y; orient } in
   (* only cells whose outline or position changed {e must} re-place:
      moved, resized, added.  Rewire endpoints keep a legal placement — the
      affected net reaches the plan through [struct_nets] instead, so
@@ -203,13 +251,13 @@ let apply (base : Design.t) (edits : edit list) =
   let seed c = Hashtbl.replace seed_set c () in
   Hashtbl.iter (fun c _ -> seed c) moves;
   Hashtbl.iter (fun c _ -> seed c) resizes;
-  List.iter seed added_ids;
+  for j = 0 to nadd - 1 do seed (nc + j) done;
   (* anchors bound the dirty region's hull; rewire targets and add sites
      belong there even though they are not forced to re-place *)
   let anchor_set = Hashtbl.copy seed_set in
   let anchor c = Hashtbl.replace anchor_set c () in
   Hashtbl.iter (fun _ to_cell -> anchor to_cell) rewires;
-  List.iter (fun (near, _, _) -> anchor near) adds;
+  Array.iter (fun (near, _, _) -> anchor near) adds;
   let snet_set = Hashtbl.create 16 in
   Hashtbl.iter (fun (n, _) _ -> Hashtbl.replace snet_set n ()) rewires;
   Array.iteri (fun n e -> if e <> [] then Hashtbl.replace snet_set n ()) extras;
@@ -390,8 +438,12 @@ type result = {
 
 let default_threshold = 0.25
 
+type base = { design : Design.t; steiner : Dpp_steiner.Rsmt.nets }
+
+let base_of_result (r : Flow.result) = { design = r.Flow.design; steiner = r.Flow.steiner_nets }
+
 let run ?observer ?check ?(threshold = default_threshold) ~base edits (cfg : Config.t) =
-  let p = plan base edits in
+  let p = plan base.design edits in
   if p.dirty_fraction > threshold then begin
     Log.info (fun m ->
         m "dirty fraction %.3f > %.3f: falling back to the full flow" p.dirty_fraction
@@ -408,7 +460,8 @@ let run ?observer ?check ?(threshold = default_threshold) ~base edits (cfg : Con
       Ctx.set_skip ctx p.frozen;
       Ctx.set_flip_skip ctx p.frozen;
       ctx.Ctx.bound <- Some p.region;
-      ctx.Ctx.obstacles <- p.obstacles
+      ctx.Ctx.obstacles <- p.obstacles;
+      ctx.Ctx.steiner <- base.steiner
     in
     let flow =
       Flow.run_stages ~prepare ?observer ?check ~stages:Flow.eco_stages p.applied.edited cfg

@@ -14,7 +14,13 @@
 
     When the edits disturb more than [threshold] of the movable cells the
     incremental machinery would churn most of the die anyway, so {!run}
-    falls back to the full flow on the edited design. *)
+    falls back to the full flow on the edited design.
+
+    An op pays for what its edits touched, not for the whole die: {!apply}
+    copies the base netlist arrays rather than rebuilding them, and the
+    metrics stage takes each net's Steiner length from the {!base} record
+    whenever the net's pin coordinates are bit-identical to the base's,
+    recomputing only the others. *)
 
 (** One netlist/placement edit, id-referenced against the base design. *)
 type edit =
@@ -39,7 +45,9 @@ val edits_of_json : Dpp_report.Json.t -> edit list
 
 type applied = {
   edited : Dpp_netlist.Design.t;
-      (** rebuilt design: base ids preserved, added cells appended *)
+      (** the edited copy: cell and net ids preserved, added cells
+          appended; pins numbered in net order, each net's added pins
+          after its base pins; each cell's [c_pins] in pin-id order *)
   seeds : int array;
       (** cells that {e must} re-place — moved, resized, or added.  Rewire
           endpoints keep a legal placement; their nets reach the plan
@@ -53,10 +61,16 @@ type applied = {
 }
 
 val apply : Dpp_netlist.Design.t -> edit list -> applied
-(** Rebuild the netlist with the edits folded in.  The base design is not
-    modified.  @raise Invalid_argument on an empty edit list or an edit
-    referencing an out-of-range id (a resize of a non-movable cell, a
-    non-positive scale or width). *)
+(** Copy the netlist with the edits folded in, straight from the base
+    arrays.  The numbering is the one a {!Dpp_netlist.Builder} gives when
+    fed the base cells in id order, then the added cells ([eco_add_0],
+    [eco_add_1], ...), then each net's pins in net order: the result is
+    structurally equal to that path's.  A rewired or added pin sits at
+    the centre of its cell, using the width after any resize.  The base
+    design is not modified.  @raise Invalid_argument on an empty edit
+    list, an edit referencing an out-of-range id (a resize of a
+    non-movable cell, a non-positive scale or width), or an added cell
+    whose name the base already uses. *)
 
 type plan = {
   applied : applied;
@@ -84,21 +98,39 @@ type result = {
 val default_threshold : float
 (** 0.25 — above a quarter of the movables dirty, re-place from scratch. *)
 
+type base = {
+  design : Dpp_netlist.Design.t;  (** a legally placed design *)
+  steiner : Dpp_steiner.Rsmt.nets;
+      (** the per-net Steiner record of the flow that placed [design]
+          ({!Flow.result.steiner_nets}) *)
+}
+(** What an ECO is applied against: the placed design and the record its
+    flow's metrics stage left. *)
+
+val base_of_result : Flow.result -> base
+
 val run :
   ?observer:(Dpp_report.Trace.stage -> unit) ->
   ?check:bool ->
   ?threshold:float ->
-  base:Dpp_netlist.Design.t ->
+  base:base ->
   edit list ->
   Config.t ->
   result
-(** Incrementally re-place [base] (which must already be legally placed —
-    a {!Flow.run} result design) under the edit list.  Below the dirty
-    threshold this runs {!Flow.eco_stages} with the plan's region, skip
-    sets, and obstacles installed; above it, the full flow on the edited
-    design.  [observer] and [check] behave as in {!Flow.run} (in check
-    mode the full legality oracles hold from the legalize boundary on,
-    clean region included). *)
+(** Incrementally re-place [base.design] under the edit list.  Below the
+    dirty threshold this runs {!Flow.eco_stages} with the plan's region,
+    skip sets, obstacles and [base.steiner] installed; above it, the full
+    flow on the edited design, which starts from an empty record.  The
+    metrics stage reuses a base length only for a net whose pin
+    coordinates are bit-identical to the base's, so every figure equals a
+    full recompute whatever record is passed; a record of another
+    placement only costs time.  The reuse is keyed on coordinates, not on
+    the dirty cells: the flip stage mirrors pin offsets in place, so the
+    base flow's view and a fresh view of the same placement can differ in
+    the last bits of a few nets.  [observer] and [check] behave as in
+    {!Flow.run} (in check mode the full legality oracles hold from the
+    legalize boundary on, clean region included, and the metrics
+    boundary recomputes Steiner without reuse). *)
 
 val random_edits : ?ops:int -> seed:int -> Dpp_netlist.Design.t -> edit list
 (** A deterministic, seeded edit list of [ops] edits (default 4), cycling

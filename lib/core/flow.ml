@@ -27,6 +27,7 @@ type result = {
   hpwl_legal : float;
   hpwl_final : float;
   steiner_final : float;
+  steiner_nets : Rsmt.nets;
   congestion : Dpp_congest.Rudy.stats;
   critical_delay : float;
   overflow_gp : float;
@@ -258,7 +259,9 @@ let metrics_stage =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design in
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
-        ctx.Ctx.steiner_final <- Rsmt.total ctx.Ctx.pins ~cx ~cy;
+        let nets, total = Rsmt.measure ctx.Ctx.pins ~cx ~cy ~reuse:ctx.Ctx.steiner in
+        ctx.Ctx.steiner <- nets;
+        ctx.Ctx.steiner_final <- total;
         let rudy = Dpp_congest.Rudy.compute ~pool:ctx.Ctx.pool ~pins:ctx.Ctx.pins d ~cx ~cy in
         ctx.Ctx.congestion <- Some (Dpp_congest.Rudy.stats rudy);
         let sta = Dpp_timing.Sta.build d in
@@ -420,6 +423,7 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
     hpwl_legal = ctx.Ctx.hpwl_legal;
     hpwl_final;
     steiner_final = ctx.Ctx.steiner_final;
+    steiner_nets = ctx.Ctx.steiner;
     congestion = Option.get ctx.Ctx.congestion;
     critical_delay = ctx.Ctx.critical_delay;
     overflow_gp = (match gp with Some g -> g.Gp.final_overflow | None -> 0.0);

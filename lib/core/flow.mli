@@ -31,6 +31,10 @@ type result = {
   hpwl_legal : float;
   hpwl_final : float;  (** after detailed placement and flipping *)
   steiner_final : float;
+  steiner_nets : Dpp_steiner.Rsmt.nets;
+      (** the per-net lengths behind [steiner_final], each with the pin
+          coordinates it was computed from — what an {!Eco} against this
+          placement reuses for the nets its edits leave in place *)
   congestion : Dpp_congest.Rudy.stats;  (** RUDY demand statistics at the final placement *)
   critical_delay : float;  (** lite-STA critical path delay at the final placement *)
   overflow_gp : float;
@@ -91,8 +95,12 @@ val run_stages :
 
 val eco_stages : stage list
 (** [legal; detail; flip; metrics] — the incremental ECO re-placement
-    suffix.  Driven by the context's [bound], [skip], [flip_skip] and
-    [obstacles] (see {!Eco}), all installed through [prepare]. *)
+    suffix.  Driven by the context's [bound], [skip], [flip_skip],
+    [obstacles] and [steiner] (see {!Eco}), all installed through
+    [prepare].  The metrics stage of any stage list measures Steiner
+    with {!Dpp_steiner.Rsmt.measure} against the context's [steiner]
+    record: empty in a full flow, the base's record in an ECO, and the
+    same total either way. *)
 
 val resume_stages : stages:stage list -> after:string -> stage list
 (** The suffix of [stages] strictly after the named stage — the stage

@@ -573,13 +573,15 @@ let rt_checks (c : case) =
    The ECO contract fuzzed here: for a seeded edit list against a placed
    base, the incremental path must (a) keep every frozen cell bit-identical
    to the base placement and (b) pass the full legality oracles from the
-   legalize boundary on (Eco.run's check mode).  A fallback run trivially
+   legalize boundary on and the Steiner oracle at the metrics boundary,
+   which recomputes every net the base record's reuse skipped (Eco.run's
+   check mode).  A fallback run trivially
    satisfies both, so fallbacks are not failures.  On failure the edit
    list itself is minimized: greedily drop edits while the failure still
    reproduces — the seeded generator only ever references base cell ids,
    so every sublist is a valid edit list. *)
 
-let eco_edit_failure ~base ~cfg es =
+let eco_edit_failure ~(base : Eco.base) ~cfg es =
   if es = [] then None
   else
     match Eco.run ~check:true ~base es cfg with
@@ -587,6 +589,7 @@ let eco_edit_failure ~base ~cfg es =
       if r.Eco.fallback then None
       else begin
         let rd = r.Eco.flow.Flow.design in
+        let base = base.Eco.design in
         let bad = ref None in
         Array.iter
           (fun i ->
@@ -636,9 +639,9 @@ let eco_checks (c : case) =
   in
   let d = Dpp_gen.Compose.build spec in
   let cfg = { (flow_config c) with Config.mode = Config.Baseline } in
-  let base = (Flow.run d cfg).Flow.design in
+  let base = Eco.base_of_result (Flow.run d cfg) in
   let failing = eco_edit_failure ~base ~cfg in
-  match Eco.random_edits ~ops:c.eco_ops ~seed:c.seed base with
+  match Eco.random_edits ~ops:c.eco_ops ~seed:c.seed base.Eco.design with
   | exception Invalid_argument m -> Some ("edit-gen", [ m ])
   | edits -> (
     match failing edits with

@@ -31,7 +31,8 @@
     - {b eco}: a seeded {!Eco.random_edits} list is replayed incrementally
       against a placed base ({!Eco.run} in check mode); every frozen cell
       must stay bit-identical to the base placement and the result must
-      pass the legality oracles.  On failure the {e edit list itself} is
+      pass the legality oracles and the Steiner oracle, which recomputes
+      the nets whose lengths came from the base record.  On failure the {e edit list itself} is
       minimized (greedy one-at-a-time delta debugging) and the minimal
       still-failing list is printed as JSON, replayable through
       [dpp_serve eco --edits].

@@ -1,4 +1,5 @@
-(* Extraction cache: structural netlist hash -> slicer result, LRU-bounded. *)
+(* A bounded LRU table, and the extraction cache built on it: structural
+   netlist hash -> slicer result. *)
 
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
@@ -60,15 +61,15 @@ let hash_design (d : Design.t) =
     d.Design.nets;
   !h
 
-(* ----- bounded LRU over the hash key ----- *)
+(* ----- bounded LRU ----- *)
 
 type entry = { slicer : Slicer.result; metrics : Exmetrics.t }
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
-type t = {
+type ('k, 'v) t = {
   capacity : int;
-  table : (int64, entry) Hashtbl.t;
-  mutable order : int64 list;  (* most-recent first; short: capacity-bounded *)
+  table : ('k, 'v) Hashtbl.t;
+  mutable order : 'k list;  (* most-recent first; short: capacity-bounded *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -90,7 +91,7 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let touch t k = t.order <- k :: List.filter (fun k' -> not (Int64.equal k k')) t.order
+let touch t k = t.order <- k :: List.filter (fun k' -> k' <> k) t.order
 
 let find t k =
   with_lock t (fun () ->
@@ -112,12 +113,14 @@ let add t k e =
           match List.rev t.order with
           | oldest :: _ ->
             Hashtbl.remove t.table oldest;
-            t.order <- List.filter (fun k' -> not (Int64.equal oldest k')) t.order;
+            t.order <- List.filter (fun k' -> k' <> oldest) t.order;
             t.evictions <- t.evictions + 1
           | [] -> ()
         end
       end
       else touch t k)
+
+let mem t k = with_lock t (fun () -> Hashtbl.mem t.table k)
 
 let stats t =
   with_lock t (fun () ->

@@ -1,4 +1,5 @@
-(** Cross-job extraction cache.
+(** Cross-job extraction cache, on a bounded LRU table the server also
+    keeps its placed ECO bases in.
 
     Datapath extraction is a pure function of the netlist {e structure}
     (WL colour refinement never looks at coordinates), so its result can
@@ -13,9 +14,11 @@
     with equal keys have identical cell ids, so cached groups (id sets)
     apply directly.  Entries are LRU-evicted beyond [capacity]. *)
 
-type t
+type ('k, 'v) t
+(** A table of at most [capacity] entries that evicts the least recently
+    used one to admit another.  Keys are compared structurally. *)
 
-val create : capacity:int -> t
+val create : capacity:int -> ('k, 'v) t
 (** Thread-safe (shared by all scheduler workers); [capacity >= 1]. *)
 
 val hash_design : Dpp_netlist.Design.t -> int64
@@ -24,13 +27,19 @@ val hash_design : Dpp_netlist.Design.t -> int64
 type entry = { slicer : Dpp_extract.Slicer.result; metrics : Dpp_extract.Exmetrics.t }
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
-val find : t -> int64 -> entry option
+val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup, counting a hit/miss and refreshing recency. *)
 
-val add : t -> int64 -> entry -> unit
-val stats : t -> stats
+val add : ('k, 'v) t -> 'k -> 'v -> unit
+(** Insert as the most recent entry, evicting the least recent one when
+    full; a key already present keeps its value and is refreshed. *)
 
-val extract_stage : t -> Dpp_core.Flow.stage
+val mem : ('k, 'v) t -> 'k -> bool
+(** Presence, without counting a hit or refreshing recency. *)
+
+val stats : ('k, 'v) t -> stats
+
+val extract_stage : (int64, entry) t -> Dpp_core.Flow.stage
 (** A drop-in replacement for {!Dpp_core.Flow.extract_stage} that
     consults the cache first and populates it on a miss.  The flow
     always extracts with {!Dpp_extract.Slicer.default_config}, so the

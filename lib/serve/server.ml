@@ -26,17 +26,15 @@ type cfg = { workers : int; queue : int; spool : string option }
 
 let default_cfg = { workers = 2; queue = 16; spool = None }
 
-(* extraction-cache LRU entries, and placed base designs kept for ECO
-   deltas *)
+(* extraction-cache entries, and placed bases kept for ECO deltas *)
 let cache_capacity = 16
 let base_capacity = 16
 
 type t = {
   cfg : cfg;
   sched : Scheduler.t;
-  cache : Cache.t;
-  bases : (string, Design.t) Hashtbl.t;  (* spec key -> placed base design *)
-  bases_lock : Mutex.t;
+  cache : (int64, Cache.entry) Cache.t;
+  bases : (string, Eco.base) Cache.t;  (* spec key -> placed base *)
   abort_all : bool Atomic.t;  (* stop flag: jobs cut at the next boundary *)
   abort_after : string option Atomic.t;  (* fault-injection hook *)
   stop_requested : bool Atomic.t;
@@ -54,8 +52,7 @@ let create ?(cfg = default_cfg) () =
     cfg;
     sched = Scheduler.create ~workers:cfg.workers ~queue:cfg.queue;
     cache = Cache.create ~capacity:cache_capacity;
-    bases = Hashtbl.create 16;
-    bases_lock = Mutex.create ();
+    bases = Cache.create ~capacity:base_capacity;
     abort_all = Atomic.make false;
     abort_after = Atomic.make None;
     stop_requested = Atomic.make false;
@@ -111,17 +108,7 @@ let spec_key (s : P.job_spec) =
   (* the output path does not change what gets placed *)
   Json.encode (P.spec_to_json { s with P.out = None })
 
-let remember_base t key design =
-  Mutex.lock t.bases_lock;
-  if Hashtbl.length t.bases >= base_capacity then Hashtbl.reset t.bases;
-  Hashtbl.replace t.bases key design;
-  Mutex.unlock t.bases_lock
-
-let find_base t key =
-  Mutex.lock t.bases_lock;
-  let r = Hashtbl.find_opt t.bases key in
-  Mutex.unlock t.bases_lock;
-  r
+let base_warm t spec = Cache.mem t.bases (spec_key spec)
 
 (* ----- checkpoint spooling ----- *)
 
@@ -201,7 +188,7 @@ let run_submit t ~id ~(spec : P.job_spec) ~reply_fn ?resume_from () =
         let stages = instrument t ~spec ~path (flow_stages t cfg) in
         Flow.run_stages ~observer ~check:spec.P.check ~stages design cfg
     in
-    remember_base t (spec_key spec) result.Flow.design;
+    Cache.add t.bases (spec_key spec) (Eco.base_of_result result);
     finish_ok t ~out:spec.P.out result.Flow.design;
     (match path with Some p -> (try Sys.remove p with Sys_error _ -> ()) | None -> ());
     reply_fn
@@ -243,24 +230,25 @@ let run_eco t ~id ~(base_spec : P.job_spec) ~edits ~threshold ~verify ~reply_fn 
     let cfg = config_of_spec base_spec in
     let key = spec_key base_spec in
     let base =
-      match find_base t key with
-      | Some d -> d
+      match Cache.find t.bases key with
+      | Some b -> b
       | None ->
         (* cold base: place it now and remember it for the next delta *)
         let r =
           Flow.run_stages ~check:base_spec.P.check ~stages:(flow_stages t cfg)
             (resolve_design base_spec.P.src) cfg
         in
-        remember_base t key r.Flow.design;
-        r.Flow.design
+        let b = Eco.base_of_result r in
+        Cache.add t.bases key b;
+        b
     in
     let edits =
       match edits with
       | P.Edits e -> e
-      | P.Random_edits { ops; seed } -> Eco.random_edits ~ops ~seed base
+      | P.Random_edits { ops; seed } -> Eco.random_edits ~ops ~seed base.Eco.design
     in
     let r = Eco.run ~observer ~check:base_spec.P.check ?threshold ~base edits cfg in
-    if verify && not r.Eco.fallback then verify_clean_region ~base r;
+    if verify && not r.Eco.fallback then verify_clean_region ~base:base.Eco.design r;
     finish_ok t ~out:base_spec.P.out r.Eco.flow.Flow.design;
     reply_fn
       (P.Done

@@ -1,8 +1,9 @@
 (** The placement service: concurrent job execution over a socket.
 
     One {!t} owns a {!Scheduler} worker-domain pool, a shared
-    {!Cache} of extraction results, a bounded table of placed base
-    designs (what ECO deltas are applied against), and optionally a
+    {!Cache} of extraction results, a bounded table of placed bases
+    (what ECO deltas are applied against: each design with the per-net
+    Steiner record its flow's metrics stage left), and optionally a
     {e spool} directory of checkpoint records for crash recovery.
 
     {b Connection model.}  Each client connection is served by one
@@ -32,8 +33,9 @@ type cfg = {
   queue : int;  (** bounded backlog; beyond it submissions get [Rejected] *)
   spool : string option;  (** checkpoint directory; [None] disables spooling *)
 }
-(** The extraction cache and the base-design table hold 16 entries each;
-    client frames are capped at {!Protocol.default_max_frame}. *)
+(** The extraction cache and the base table hold 16 entries each, and
+    each evicts its least recently used entry to admit a 17th; client
+    frames are capped at {!Protocol.default_max_frame}. *)
 
 val default_cfg : cfg
 (** 2 workers, queue 16, no spool. *)
@@ -103,3 +105,8 @@ val interrupt_after : t -> string -> unit
 
 val jobs_completed : t -> int
 val jobs_failed : t -> int
+
+val base_warm : t -> Protocol.job_spec -> bool
+(** Whether the base table holds the placement of this spec (an ECO
+    against it then skips the cold placement).  Does not refresh the
+    entry's recency. *)

@@ -75,6 +75,62 @@ let total t ~cx ~cy =
   done;
   !acc
 
+module I32 = Dpp_util.Compact.I32
+module F64 = Dpp_util.Compact.F64
+
+(* Bigarray-backed, so a stored record stays out of the OCaml heap:
+   keeping one per serve base, and building one per metrics stage, does
+   not grow the heap the GC paces itself by. *)
+type nets = {
+  pin_off : I32.t;  (* net n's pins are slots pin_off.(n) .. pin_off.(n+1) - 1 *)
+  px : F64.t;  (* pin coordinates per slot, each net's pins in net order *)
+  py : F64.t;
+  len : F64.t;  (* Steiner length per net *)
+}
+
+let empty = { pin_off = I32.make 1 0; px = F64.make 0 0.0; py = F64.make 0 0.0; len = F64.make 0 0.0 }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* net [n] of [r] spans [k] slots from [lo] holding exactly [r]'s
+   coordinates for the same net id, bit for bit and in the same order *)
+let unchanged (r : nets) ~px ~py ~lo ~k n =
+  n < F64.length r.len
+  && I32.uget r.pin_off (n + 1) - I32.uget r.pin_off n = k
+  &&
+  let rlo = I32.uget r.pin_off n in
+  let rec go i =
+    i = k
+    || same_bits (F64.uget px (lo + i)) (F64.uget r.px (rlo + i))
+       && same_bits (F64.uget py (lo + i)) (F64.uget r.py (rlo + i))
+       && go (i + 1)
+  in
+  go 0
+
+let measure t ~cx ~cy ~reuse =
+  let s = t.Pins.soa in
+  let nn = Dpp_netlist.Soa.num_nets s in
+  (* the netlist view's own net->pin offsets: never mutated, so shared *)
+  let pin_off = s.Dpp_netlist.Soa.net_pin_off and net_pin = s.Dpp_netlist.Soa.net_pin in
+  let np = I32.uget pin_off nn in
+  let px = F64.make np 0.0 and py = F64.make np 0.0 and len = F64.make nn 0.0 in
+  let acc = ref 0.0 in
+  for n = 0 to nn - 1 do
+    let lo = I32.uget pin_off n in
+    let k = I32.uget pin_off (n + 1) - lo in
+    for i = 0 to k - 1 do
+      let p = I32.uget net_pin (lo + i) in
+      F64.uset px (lo + i) (Pins.pin_x t ~cx p);
+      F64.uset py (lo + i) (Pins.pin_y t ~cy p)
+    done;
+    F64.uset len n
+      (if unchanged reuse ~px ~py ~lo ~k n then F64.uget reuse.len n
+       else length (Array.init k (fun i -> F64.uget px (lo + i), F64.uget py (lo + i))));
+    (* the same sum, in the same net order, as [total] *)
+    acc := !acc +. (s.Dpp_netlist.Soa.net_weight.(n) *. F64.uget len n)
+  done;
+  { pin_off; px; py; len }, !acc
+
 let total_of_design d =
   let t = Pins.build d in
   let cx, cy = Pins.centers_of_design d in

@@ -19,7 +19,7 @@ let base_cfg =
 let place spec_name cfg =
   let spec = Option.get (Dpp_gen.Presets.by_name spec_name) in
   let d = Dpp_gen.Compose.build spec in
-  (Flow.run d cfg).Flow.design
+  Eco.base_of_result (Flow.run d cfg)
 
 let tiny_base =
   lazy
@@ -33,7 +33,7 @@ let tiny_base =
            sp_utilization = 0.7;
          }
      in
-     (Flow.run d base_cfg).Flow.design)
+     Eco.base_of_result (Flow.run d base_cfg))
 
 let seeded_edits (d : Design.t) seed =
   let rng = Dpp_util.Rng.create seed in
@@ -73,8 +73,9 @@ let seeded_edits (d : Design.t) seed =
   | n :: _ -> [ Eco.Rewire { net = n; pin_index = 0; to_cell = pick near } ]
   | [] -> []
 
-let check_differential ?(threshold = Eco.default_threshold) base edits =
-  let r = Eco.run ~check:true ~threshold ~base edits base_cfg in
+let check_differential ?(threshold = Eco.default_threshold) (eco_base : Eco.base) edits =
+  let r = Eco.run ~check:true ~threshold ~base:eco_base edits base_cfg in
+  let base = eco_base.Eco.design in
   let d = r.Eco.flow.Flow.design in
   (* full result legal (also asserted stage-by-stage via ~check) *)
   let cx, cy = Pins.centers_of_design d in
@@ -100,7 +101,7 @@ let check_differential ?(threshold = Eco.default_threshold) base edits =
 
 (* ----- unit: edit application ----- *)
 
-let tiny () = Lazy.force tiny_base
+let tiny () = (Lazy.force tiny_base).Eco.design
 
 let test_apply_preserves_ids () =
   let base = tiny () in
@@ -179,6 +180,221 @@ let test_apply_rejects_bad_edits () =
   Alcotest.(check bool) "empty" true
     (match Eco.apply base [] with exception Invalid_argument _ -> true | _ -> false)
 
+(* ----- apply against a Builder reference -----
+
+   [Eco.apply] copies the base arrays; the reference below rebuilds the
+   edited netlist through [Builder], adding the base cells in id order,
+   the added cells after them, then every net with its pins.  The two
+   must agree field for field: the numbering of ids, pins and each
+   cell's pin list is part of the contract. *)
+
+module Builder = Dpp_netlist.Builder
+
+let builder_apply (base : Design.t) (edits : Eco.edit list) =
+  let nc = Design.num_cells base and nn = Design.num_nets base in
+  let site_round w =
+    let s = base.Design.site_width in
+    Float.max s (Float.round (w /. s) *. s)
+  in
+  let moves = Hashtbl.create 16 and resizes = Hashtbl.create 16 in
+  let rewires = Hashtbl.create 16 in
+  let adds = ref [] in
+  List.iter
+    (function
+      | Eco.Move { cell; dx; dy } ->
+        let px, py = try Hashtbl.find moves cell with Not_found -> (0.0, 0.0) in
+        Hashtbl.replace moves cell (px +. dx, py +. dy)
+      | Eco.Resize { cell; scale } ->
+        let p = try Hashtbl.find resizes cell with Not_found -> 1.0 in
+        Hashtbl.replace resizes cell (p *. scale)
+      | Eco.Rewire { net; pin_index; to_cell } -> Hashtbl.replace rewires (net, pin_index) to_cell
+      | Eco.Add { near; w; nets } -> adds := (near, w, nets) :: !adds)
+    edits;
+  let adds = List.rev !adds in
+  let b =
+    Builder.create ~name:base.Design.name ~die:base.Design.die
+      ~row_height:base.Design.row_height ~site_width:base.Design.site_width ()
+  in
+  for i = 0 to nc - 1 do
+    let c = Design.cell base i in
+    let w =
+      match Hashtbl.find_opt resizes i with
+      | Some s -> site_round (c.Types.c_width *. s)
+      | None -> c.Types.c_width
+    in
+    let id =
+      Builder.add_cell b ~name:c.Types.c_name ~master:c.Types.c_master ~w ~h:c.Types.c_height
+        ~kind:c.Types.c_kind
+    in
+    assert (id = i);
+    let dx, dy = try Hashtbl.find moves i with Not_found -> (0.0, 0.0) in
+    Builder.set_position b i ~x:(base.Design.x.(i) +. dx) ~y:(base.Design.y.(i) +. dy);
+    Builder.set_orient b i base.Design.orient.(i)
+  done;
+  let added_ids =
+    List.mapi
+      (fun j (near, w, _) ->
+        let id =
+          Builder.add_cell b ~name:(Printf.sprintf "eco_add_%d" j) ~master:"eco"
+            ~w:(site_round w) ~h:base.Design.row_height ~kind:Types.Movable
+        in
+        Builder.set_position b id ~x:base.Design.x.(near) ~y:base.Design.y.(near);
+        id)
+      adds
+  in
+  let extras = Array.make nn [] in
+  List.iteri
+    (fun j (_, _, nets) ->
+      let id = List.nth added_ids j in
+      List.iter (fun n -> extras.(n) <- id :: extras.(n)) nets)
+    adds;
+  Array.iteri (fun n e -> extras.(n) <- List.rev e) extras;
+  for n = 0 to nn - 1 do
+    let net = Design.net base n in
+    let base_pins =
+      Array.to_list
+        (Array.mapi
+           (fun k p ->
+             let pin = Design.pin base p in
+             match Hashtbl.find_opt rewires (n, k) with
+             | Some to_cell -> Builder.add_pin b ~cell:to_cell ~dir:pin.Types.p_dir ()
+             | None ->
+               Builder.add_pin b ~cell:pin.Types.p_cell ~dir:pin.Types.p_dir ~dx:pin.Types.p_dx
+                 ~dy:pin.Types.p_dy ())
+           net.Types.n_pins)
+    in
+    let extra_pins = List.map (fun cell -> Builder.add_pin b ~cell ~dir:Types.Inout ()) extras.(n) in
+    let id =
+      Builder.add_net b ~name:net.Types.n_name ~weight:net.Types.n_weight (base_pins @ extra_pins)
+    in
+    assert (id = n)
+  done;
+  List.iter (Builder.add_group b) base.Design.groups;
+  let edited = Builder.finish b in
+  let sorted h = Array.of_list (List.sort_uniq compare h) in
+  let keys h = Hashtbl.fold (fun k _ acc -> k :: acc) h [] in
+  let seeds = keys moves @ keys resizes @ added_ids in
+  {
+    Eco.edited;
+    seeds = sorted seeds;
+    anchors =
+      sorted
+        (seeds
+        @ Hashtbl.fold (fun _ c acc -> c :: acc) rewires []
+        @ List.map (fun (near, _, _) -> near) adds);
+    struct_nets =
+      sorted
+        (List.map fst (keys rewires)
+        @ List.concat (List.mapi (fun n e -> if e = [] then [] else [ n ]) (Array.to_list extras)));
+    moves = List.sort compare (Hashtbl.fold (fun c (dx, dy) acc -> (c, dx, dy) :: acc) moves []);
+  }
+
+let check_same_applied label (want : Eco.applied) (got : Eco.applied) =
+  let w = want.Eco.edited and g = got.Eco.edited in
+  let same what ok = Alcotest.(check bool) (Printf.sprintf "%s: %s" label what) true ok in
+  same "cells" (w.Design.cells = g.Design.cells);
+  same "pins" (w.Design.pins = g.Design.pins);
+  same "nets" (w.Design.nets = g.Design.nets);
+  same "positions" (w.Design.x = g.Design.x && w.Design.y = g.Design.y);
+  same "orientations" (w.Design.orient = g.Design.orient);
+  same "whole design" (w = g);
+  Alcotest.(check (array int)) (label ^ ": seeds") want.Eco.seeds got.Eco.seeds;
+  Alcotest.(check (array int)) (label ^ ": anchors") want.Eco.anchors got.Eco.anchors;
+  Alcotest.(check (array int)) (label ^ ": struct_nets") want.Eco.struct_nets got.Eco.struct_nets;
+  same "moves" (want.Eco.moves = got.Eco.moves)
+
+(* 1-6 edits of every kind anywhere on the die: rewires of any pin onto
+   any cell, adds on zero to three nets (repeats included) *)
+let any_edits (d : Design.t) seed =
+  let rng = Dpp_util.Rng.create seed in
+  let module Rng = Dpp_util.Rng in
+  let movable = Design.movable_ids d in
+  let nc = Design.num_cells d and nn = Design.num_nets d in
+  let site = d.Design.site_width and rh = d.Design.row_height in
+  List.init (1 + Rng.int rng 6) (fun _ ->
+      match Rng.int rng 4 with
+      | 0 ->
+        Eco.Move
+          {
+            cell = Rng.int rng nc;
+            dx = float_of_int (Rng.int_in rng (-4) 4) *. site;
+            dy = float_of_int (Rng.int_in rng (-1) 1) *. rh;
+          }
+      | 1 ->
+        Eco.Resize
+          {
+            cell = movable.(Rng.int rng (Array.length movable));
+            scale = 0.5 +. (0.25 *. float_of_int (Rng.int rng 6));
+          }
+      | 2 ->
+        let net = Rng.int rng nn in
+        Eco.Rewire
+          {
+            net;
+            pin_index = Rng.int rng (Array.length (Design.net d net).Types.n_pins);
+            to_cell = Rng.int rng nc;
+          }
+      | _ ->
+        Eco.Add
+          {
+            near = Rng.int rng nc;
+            w = float_of_int (1 + Rng.int rng 4) *. site;
+            nets = List.init (Rng.int rng 4) (fun _ -> Rng.int rng nn);
+          })
+
+let bookshelf_base =
+  lazy
+    (let dir = Filename.concat (Filename.get_temp_dir_name ()) "dpp_eco_test" in
+     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+     let basename = Filename.concat dir "eco_tiny" in
+     Dpp_netlist.Bookshelf.write (tiny ()) ~basename;
+     Dpp_netlist.Bookshelf.read ~basename)
+
+let test_apply_matches_builder () =
+  let compose = tiny () and bookshelf = Lazy.force bookshelf_base in
+  List.iter
+    (fun (name, (base : Design.t)) ->
+      let m = (Design.movable_ids base).(2) and other = (Design.movable_ids base).(5) in
+      let net = (Design.pin base (Design.cell base other).Types.c_pins.(0)).Types.p_net in
+      let fixed =
+        [
+          (* a rewire onto a cell the same list resizes *)
+          ( "rewire onto a resized cell",
+            [ Eco.Resize { cell = m; scale = 1.75 }; Eco.Rewire { net; pin_index = 0; to_cell = m } ] );
+          (* the second rewire of a pin wins *)
+          ( "two rewires of one pin",
+            [
+              Eco.Rewire { net; pin_index = 0; to_cell = other };
+              Eco.Rewire { net; pin_index = 0; to_cell = m };
+            ] );
+          ( "an add on several nets",
+            [ Eco.Add { near = m; w = 3.0 *. base.Design.site_width; nets = [ net; 0; 1; net ] } ] );
+        ]
+      in
+      let seeded = List.init 40 (fun k -> Printf.sprintf "seed %d" k, any_edits base (100 + k)) in
+      List.iter
+        (fun (label, edits) ->
+          check_same_applied
+            (Printf.sprintf "%s base, %s" name label)
+            (builder_apply base edits) (Eco.apply base edits))
+        (fixed @ seeded))
+    [ "Compose", compose; "Bookshelf", bookshelf ]
+
+let test_apply_rejects_taken_name () =
+  let base = tiny () in
+  let cells = Array.copy base.Design.cells in
+  cells.(0) <- { (cells.(0)) with Types.c_name = "eco_add_0" };
+  let base = { base with Design.cells } in
+  let add = Eco.Add { near = 1; w = base.Design.site_width; nets = [ 0 ] } in
+  Alcotest.(check bool) "reference raises" true
+    (match builder_apply base [ add ] with exception Invalid_argument _ -> true | _ -> false);
+  Alcotest.(check bool) "apply raises" true
+    (match Eco.apply base [ add ] with exception Invalid_argument _ -> true | _ -> false);
+  Alcotest.(check bool) "no add, no clash" true
+    (match Eco.apply base [ Eco.Move { cell = 1; dx = 0.0; dy = 0.0 } ] with
+    | (_ : Eco.applied) -> true
+    | exception Invalid_argument _ -> false)
+
 let test_edit_json_codec () =
   let edits =
     [
@@ -212,7 +428,7 @@ let test_differential_dp_mix_l () =
   let base = place "dp_mix_l" base_cfg in
   List.iter
     (fun seed ->
-      let r = check_differential base (seeded_edits base seed) in
+      let r = check_differential base (seeded_edits base.Eco.design seed) in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d incremental" seed)
         false r.Eco.fallback)
@@ -225,18 +441,18 @@ let test_differential_xl10k () =
     let cfg =
       { Config.baseline with Config.gp_rounds = 4; gp_inner_iters = 10; detail_passes = 1 }
     in
-    let base = (Flow.run d cfg).Flow.design in
-    let r = check_differential base (seeded_edits base 7) in
+    let base = Eco.base_of_result (Flow.run d cfg) in
+    let r = check_differential base (seeded_edits base.Eco.design 7) in
     Alcotest.(check bool) "incremental path" false r.Eco.fallback
 
 let test_fallback_above_threshold () =
-  let base = tiny () in
-  let r = check_differential ~threshold:0.0 base (seeded_edits base 3) in
+  let base = Lazy.force tiny_base in
+  let r = check_differential ~threshold:0.0 base (seeded_edits base.Eco.design 3) in
   Alcotest.(check bool) "fell back" true r.Eco.fallback
 
 let test_eco_deterministic () =
-  let base = tiny () in
-  let edits = seeded_edits base 5 in
+  let base = Lazy.force tiny_base in
+  let edits = seeded_edits base.Eco.design 5 in
   let r1 = Eco.run ~base edits base_cfg in
   let r2 = Eco.run ~base edits base_cfg in
   Alcotest.(check bool) "bit-identical" true
@@ -250,6 +466,8 @@ let suite =
     Alcotest.test_case "apply resize+add" `Quick test_apply_resize_and_add;
     Alcotest.test_case "apply rewire" `Quick test_apply_rewire;
     Alcotest.test_case "apply rejects bad edits" `Quick test_apply_rejects_bad_edits;
+    Alcotest.test_case "apply matches the builder reference" `Quick test_apply_matches_builder;
+    Alcotest.test_case "apply rejects a taken added name" `Quick test_apply_rejects_taken_name;
     Alcotest.test_case "edit json roundtrip" `Quick test_edit_json_codec;
     Alcotest.test_case "plan bounds dirty set" `Quick test_plan_bounds_dirty_set;
     Alcotest.test_case "differential dp_mix_l" `Slow test_differential_dp_mix_l;

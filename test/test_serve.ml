@@ -463,6 +463,28 @@ let test_e2e_two_jobs_one_connection () =
             (stage_names j responses))
         jobs)
 
+(* The base table evicts the least recently used base: after 17
+   distinct placements the first is gone and the 16 after it are warm
+   (an ECO against any of them skips the cold placement). *)
+let test_base_table_lru () =
+  with_server ~workers:1 (fun t ->
+      let spec k =
+        P.spec ~gp_rounds:k ~gp_inner_iters:2 ~detail_passes:1
+          (P.Bookshelf { basename = Lazy.force tiny_base })
+      in
+      let push, all = collector () in
+      (* one at a time: 17 jobs would overflow the 16-slot queue *)
+      for k = 1 to 17 do
+        ignore (Server.submit_request t (P.Submit (spec k)) ~reply_fn:push : [ `Queued of int | `Busy ]);
+        Server.drain t
+      done;
+      let dones = List.filter (function P.Done _ -> true | _ -> false) (all ()) in
+      Alcotest.(check int) "17 bases placed" 17 (List.length dones);
+      Alcotest.(check bool) "the least recent is evicted" false (Server.base_warm t (spec 1));
+      for k = 2 to 17 do
+        Alcotest.(check bool) (Printf.sprintf "base %d still warm" k) true (Server.base_warm t (spec k))
+      done)
+
 (* ----- fault injection ----- *)
 
 let test_fault_disconnect_mid_stream () =
@@ -591,6 +613,7 @@ let suite =
     Alcotest.test_case "e2e socket shutdown" `Quick test_e2e_socket_shutdown;
     Alcotest.test_case "e2e concurrent clients" `Slow test_e2e_concurrent_clients;
     Alcotest.test_case "e2e two jobs one connection" `Slow test_e2e_two_jobs_one_connection;
+    Alcotest.test_case "base table lru" `Slow test_base_table_lru;
     Alcotest.test_case "fault disconnect mid stream" `Slow test_fault_disconnect_mid_stream;
     Alcotest.test_case "fault malformed frame mid job" `Slow test_fault_malformed_frame_mid_job;
     Alcotest.test_case "fault kill after legal resumes" `Slow test_kill_after_legal;

@@ -89,6 +89,32 @@ let test_totals_on_design () =
   Alcotest.(check bool) "steiner >= hpwl" true (st >= hp -. 1e-6);
   Alcotest.(check (float 1e-9)) "convenience wrapper" st (Rsmt.total_of_design d)
 
+(* The record's total equals a full recompute whatever it reuses: an
+   empty record, its own, one from before a cell moved, or another
+   design's. *)
+let test_measure_reuse () =
+  let d = Tutil.random_design ~cells:30 ~nets:40 5 in
+  let pins = Dpp_wirelen.Pins.build d in
+  let cx, cy = Dpp_wirelen.Pins.centers_of_design d in
+  let same what want got =
+    Alcotest.(check bool) (Printf.sprintf "%s: %.17g = %.17g" what want got) true (Float.equal want got)
+  in
+  let full = Rsmt.total pins ~cx ~cy in
+  let fresh, t0 = Rsmt.measure pins ~cx ~cy ~reuse:Rsmt.empty in
+  same "empty record" full t0;
+  let _, t1 = Rsmt.measure pins ~cx ~cy ~reuse:fresh in
+  same "own record" full t1;
+  let cx' = Array.copy cx in
+  cx'.(3) <- cx'.(3) +. 7.5;
+  let _, t2 = Rsmt.measure pins ~cx:cx' ~cy ~reuse:fresh in
+  same "one cell moved" (Rsmt.total pins ~cx:cx' ~cy) t2;
+  let other = Tutil.random_design ~cells:30 ~nets:40 6 in
+  let opins = Dpp_wirelen.Pins.build other in
+  let ox, oy = Dpp_wirelen.Pins.centers_of_design other in
+  let orec, _ = Rsmt.measure opins ~cx:ox ~cy:oy ~reuse:Rsmt.empty in
+  let _, t3 = Rsmt.measure pins ~cx ~cy ~reuse:orec in
+  same "another design's record" full t3
+
 let suite =
   [
     Alcotest.test_case "mst known" `Quick test_mst_known;
@@ -101,4 +127,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mst_ratio;
     Alcotest.test_case "rsmt degree fallback" `Quick test_rsmt_degree_fallback;
     Alcotest.test_case "design totals" `Quick test_totals_on_design;
+    Alcotest.test_case "measure reuse" `Quick test_measure_reuse;
   ]
