@@ -30,7 +30,7 @@ let () =
   let soa = pins.Pins.soa in
   (* 1. extraction, with a stricter minimum group height than the default *)
   let groups =
-    (Dpp_extract.Slicer.run_with ~soa d
+    (Dpp_extract.Slicer.run_with ~soa
        { Dpp_extract.Slicer.default_config with Dpp_extract.Slicer.min_slices = 8 })
       .Dpp_extract.Slicer.groups
   in

@@ -63,7 +63,7 @@ let extract_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design in
-        let r = Slicer.run_with ~soa:ctx.Ctx.soa d Slicer.default_config in
+        let r = Slicer.run_with ~soa:ctx.Ctx.soa Slicer.default_config in
         let metrics = Exmetrics.compare_to_truth ~truth:d.Design.groups ~found:r.Slicer.groups in
         Log.info (fun m ->
             m "extraction: %d groups, precision %.3f recall %.3f" (List.length r.Slicer.groups)

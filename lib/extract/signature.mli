@@ -12,17 +12,26 @@
     extractor keys on.
 
     Pin classes are geometric ([direction, dx, dy] of the pin), not pin
-    ids, so signatures survive Bookshelf round trips that renumber pins. *)
+    ids, so signatures survive Bookshelf round trips that renumber pins.
+
+    Everything is read off the {!Dpp_netlist.Soa.t} the slicer holds:
+    each cell's tuples are sorted in one reusable buffer, and colours are
+    compacted through an {!Idtab}. *)
 
 type t = {
   colors : int array;  (** per cell: compacted class id, or -1 for fixed cells *)
   num_classes : int;
   class_members : int array array;  (** class id -> member cells, ascending *)
+  pin_classes : int array;  (** per pin: {!pin_class} *)
 }
 
-val compute : Dpp_netlist.Design.t -> Netclass.t -> iterations:int -> t
+val compute : Dpp_netlist.Soa.t -> Netclass.t -> iterations:int -> t
 
-val pin_class : Dpp_netlist.Design.t -> int -> int
+val mix : int -> int -> int
+(** The splitmix64 finaliser over [h + v * golden]: deterministic,
+    independent of [Hashtbl.hash], and non-negative. *)
+
+val pin_class : Dpp_netlist.Soa.t -> int -> int
 (** Stable hash of a pin's (direction, dx, dy) within its cell. *)
 
 val class_of : t -> int -> int

@@ -1,4 +1,3 @@
-module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Groups = Dpp_netlist.Groups
 
@@ -68,8 +67,8 @@ let try_expand st g label cells =
     (fun k c ->
       if c >= 0 then
         match Labels.target st.lb ~cell:c ~label with
-        | None -> ()
-        | Some t ->
+        | -1 -> ()
+        | t ->
           if Hashtbl.mem seen t then begin
             (* duplicate target: drop both occurrences *)
             (match Hashtbl.find_opt seen t with
@@ -217,10 +216,10 @@ let find_successor st cls members =
             (fun pos c ->
               if c >= 0 then
                 match Labels.target st.lb ~cell:c ~label with
-                | Some t ->
+                | -1 -> ()
+                | t ->
                   next.(pos) <- t;
-                  incr defined
-                | None -> ())
+                  incr defined)
             map;
           if !defined >= st.cfg.min_slices then begin
             let tc = Labels.target_class st.lb label in
@@ -342,11 +341,11 @@ let assemble st =
     st.group_columns;
   List.rev !out
 
-let run_with ~soa (d : Design.t) cfg =
+let run_with ~soa cfg =
   let nc = Netclass.classify soa ~max_data_degree:cfg.max_data_degree in
-  let sg = Signature.compute d nc ~iterations:cfg.refine_iterations in
-  let lb = Labels.build d nc sg in
-  let n_cells = Design.num_cells d in
+  let sg = Signature.compute soa nc ~iterations:cfg.refine_iterations in
+  let lb = Labels.build soa nc sg in
+  let n_cells = Soa.num_cells soa in
   let st =
     {
       cfg;
@@ -369,4 +368,4 @@ let run_with ~soa (d : Design.t) cfg =
     columns_grown = st.n_grown;
   }
 
-let run d cfg = run_with ~soa:(Soa.of_design d) d cfg
+let run d cfg = run_with ~soa:(Soa.of_design d) cfg

@@ -39,9 +39,9 @@ type result = {
   columns_grown : int;  (** BFS expansions accepted *)
 }
 
-val run_with : soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> config -> result
+val run_with : soa:Dpp_netlist.Soa.t -> config -> result
 (** Extraction over [soa], the flat view of the design (the flow passes
-    its context's), whose cell<->net incidence it walks. *)
+    its context's): signatures, labels and seeds all read it. *)
 
 val run : Dpp_netlist.Design.t -> config -> result
-(** [run d = run_with ~soa:(Soa.of_design d) d]. *)
+(** [run d = run_with ~soa:(Soa.of_design d)]. *)

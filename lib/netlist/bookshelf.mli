@@ -25,13 +25,22 @@ exception Parse_error of string
     non-finite number ([nan], [inf]), a duplicate node name, a movable node
     without positive size, a non-positive [Sitewidth], a net of degree 0 or
     with a wrong pin count, an unknown cell name, or a group header with no
-    slices or stages.  A missing [.aux] entry names only the [.aux] file,
-    and rows that do not tile a die only the [.scl] file.
+    slices or stages.  A missing [.aux] entry names only the [.aux] file;
+    rows that do not tile a die, and a die whose width is not finite and
+    positive (rows without [NumSites] take four times the widest node, so
+    a design of zero-width nodes has none), only the [.scl] file.
 
-    Lines are split into the maximal runs of characters other than space,
-    tab, CR and [':'], with each [':'] a token of its own; blank lines,
-    lines whose first non-blank character is ['#'], and a first line
-    starting with [UCLA] are skipped. *)
+    Lines end at ['\n'] (the last one may lack it) and are split into the
+    maximal runs of characters other than space, tab, CR and [':'], with
+    each [':'] a token of its own; blank lines, lines whose first
+    non-blank character is ['#'], and a first line starting with [UCLA]
+    are skipped.  Numbers read to exactly the bits [float_of_string] and
+    [int_of_string] give their tokens.
+
+    Each file is scanned through one refillable buffer that grows to fit
+    its longest line; tokens are offsets into it, and only the names the
+    design keeps (cells, nets, groups, one string per distinct master)
+    become strings. *)
 
 val write : Design.t -> basename:string -> unit
 

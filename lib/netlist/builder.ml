@@ -1,40 +1,38 @@
 module Rect = Dpp_geom.Rect
 module Orient = Dpp_geom.Orient
 module Dyn = Dpp_util.Dyn
+module Nametab = Dpp_util.Nametab
 
-(* Mutable staging records; frozen into Types.cell/net/pin at [finish]. *)
-type staged_cell = {
-  sc_name : string;
-  sc_master : string;
-  sc_w : float;
-  sc_h : float;
-  sc_kind : Types.cell_kind;
-  mutable sc_x : float;
-  mutable sc_y : float;
-  mutable sc_orient : Orient.t;
-  sc_pins : int Dyn.t;
-}
-
-type staged_pin = {
-  sp_cell : int;
-  sp_dir : Types.direction;
-  sp_dx : float;
-  sp_dy : float;
-  mutable sp_net : int;
-}
-
-type staged_net = { sn_name : string; sn_weight : float; sn_pins : int array }
-
+(* Staging is one flat array per field (floats unboxed), grown by
+   doubling; the Types.cell/net/pin records exist only from [finish]. *)
 type t = {
   b_name : string;
   mutable b_die : Rect.t;
   b_row_height : float;
   b_site_width : float;
   mutable b_num_rows : int;
-  b_cells : staged_cell Dyn.t;
-  b_pins : staged_pin Dyn.t;
-  b_nets : staged_net Dyn.t;
-  b_cell_names : (string, int) Hashtbl.t;
+  (* cells: one per name, numbered as [c_name] numbers the names *)
+  c_name : Nametab.t;
+  mutable c_master : string array;
+  mutable c_w : float array;
+  mutable c_h : float array;
+  mutable c_kind : Types.cell_kind array;
+  mutable c_x : float array;
+  mutable c_y : float array;
+  mutable c_orient : Orient.t array;
+  (* pins *)
+  mutable np : int;
+  mutable p_cell : int array;
+  mutable p_dir : Types.direction array;
+  mutable p_dx : float array;
+  mutable p_dy : float array;
+  mutable p_net : int array;
+  (* nets: net [n]'s pins are [n_pin.(n_off.(n) .. n_off.(n + 1) - 1)] *)
+  mutable nn : int;
+  mutable n_name : string array;
+  mutable n_weight : float array;
+  mutable n_off : int array;
+  mutable n_pin : int array;
   b_groups : Groups.t Dyn.t;
   mutable b_finished : bool;
 }
@@ -57,15 +55,39 @@ let create ?(name = "design") ~die ~row_height ~site_width () =
     b_row_height = row_height;
     b_site_width = site_width;
     b_num_rows = num_rows;
-    b_cells = Dyn.create ();
-    b_pins = Dyn.create ();
-    b_nets = Dyn.create ();
-    b_cell_names = Hashtbl.create 1024;
+    c_name = Nametab.create 1024;
+    c_master = [||];
+    c_w = [||];
+    c_h = [||];
+    c_kind = [||];
+    c_x = [||];
+    c_y = [||];
+    c_orient = [||];
+    np = 0;
+    p_cell = [||];
+    p_dir = [||];
+    p_dx = [||];
+    p_dy = [||];
+    p_net = [||];
+    nn = 0;
+    n_name = [||];
+    n_weight = [||];
+    n_off = [| 0 |];
+    n_pin = [||];
     b_groups = Dyn.create ();
     b_finished = false;
   }
 
 let check_alive t = if t.b_finished then invalid_arg "Builder: already finished"
+
+(* [a] with room for index [n]: doubled when full, filled with [fill] *)
+let room a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 16 (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
 let set_die t die =
   check_alive t;
@@ -74,126 +96,176 @@ let set_die t die =
 
 let add_cell t ~name ~master ~w ~h ~kind =
   check_alive t;
-  if Hashtbl.mem t.b_cell_names name then
-    invalid_arg (Printf.sprintf "Builder.add_cell: duplicate cell name %S" name);
   (match kind with
   | Types.Movable when w <= 0.0 || h <= 0.0 ->
     invalid_arg "Builder.add_cell: movable cell must have positive dimensions"
   | Types.Movable | Types.Fixed | Types.Pad -> ());
-  let id = Dyn.length t.b_cells in
-  Dyn.push t.b_cells
-    {
-      sc_name = name;
-      sc_master = master;
-      sc_w = w;
-      sc_h = h;
-      sc_kind = kind;
-      sc_x = 0.0;
-      sc_y = 0.0;
-      sc_orient = Orient.N;
-      sc_pins = Dyn.create ();
-    };
-  Hashtbl.add t.b_cell_names name id;
+  let id = Nametab.length t.c_name in
+  if Nametab.add t.c_name name <> id then
+    invalid_arg (Printf.sprintf "Builder.add_cell: duplicate cell name %S" name);
+  if id = Array.length t.c_w then begin
+    t.c_master <- room t.c_master id "";
+    t.c_w <- room t.c_w id 0.0;
+    t.c_h <- room t.c_h id 0.0;
+    t.c_kind <- room t.c_kind id Types.Movable;
+    t.c_x <- room t.c_x id 0.0;
+    t.c_y <- room t.c_y id 0.0;
+    t.c_orient <- room t.c_orient id Orient.N
+  end;
+  t.c_master.(id) <- master;
+  t.c_w.(id) <- w;
+  t.c_h.(id) <- h;
+  t.c_kind.(id) <- kind;
+  t.c_x.(id) <- 0.0;
+  t.c_y.(id) <- 0.0;
+  t.c_orient.(id) <- Orient.N;
   id
+
+let num_cells t = Nametab.length t.c_name
+
+let check_cell t fn i =
+  if i < 0 || i >= num_cells t then invalid_arg ("Builder." ^ fn ^ ": bad cell id")
 
 let add_pin t ~cell ~dir ?dx ?dy () =
   check_alive t;
-  if cell < 0 || cell >= Dyn.length t.b_cells then invalid_arg "Builder.add_pin: bad cell id";
-  let c = Dyn.get t.b_cells cell in
-  let dx = Option.value dx ~default:(c.sc_w /. 2.0) in
-  let dy = Option.value dy ~default:(c.sc_h /. 2.0) in
-  let id = Dyn.length t.b_pins in
-  Dyn.push t.b_pins { sp_cell = cell; sp_dir = dir; sp_dx = dx; sp_dy = dy; sp_net = -1 };
-  Dyn.push c.sc_pins id;
+  check_cell t "add_pin" cell;
+  let dx = match dx with Some dx -> dx | None -> t.c_w.(cell) /. 2.0 in
+  let dy = match dy with Some dy -> dy | None -> t.c_h.(cell) /. 2.0 in
+  let id = t.np in
+  if id = Array.length t.p_dx then begin
+    t.p_cell <- room t.p_cell id 0;
+    t.p_dir <- room t.p_dir id Types.Input;
+    t.p_dx <- room t.p_dx id 0.0;
+    t.p_dy <- room t.p_dy id 0.0;
+    t.p_net <- room t.p_net id (-1)
+  end;
+  t.p_cell.(id) <- cell;
+  t.p_dir.(id) <- dir;
+  t.p_dx.(id) <- dx;
+  t.p_dy.(id) <- dy;
+  t.p_net.(id) <- -1;
+  t.np <- id + 1;
   id
 
 let add_net t ?name ?(weight = 1.0) pins =
   check_alive t;
   if pins = [] then invalid_arg "Builder.add_net: empty pin list";
-  let id = Dyn.length t.b_nets in
-  let name = Option.value name ~default:(Printf.sprintf "net_%d" id) in
+  let id = t.nn in
+  let name = match name with Some n -> n | None -> Printf.sprintf "net_%d" id in
+  (* the pins land past the last net's and count only once the net does *)
+  let k = ref t.n_off.(id) in
   List.iter
     (fun p ->
-      if p < 0 || p >= Dyn.length t.b_pins then invalid_arg "Builder.add_net: bad pin id";
-      let sp = Dyn.get t.b_pins p in
-      if sp.sp_net >= 0 then
+      if p < 0 || p >= t.np then invalid_arg "Builder.add_net: bad pin id";
+      if t.p_net.(p) >= 0 then
         invalid_arg (Printf.sprintf "Builder.add_net: pin %d already connected" p);
-      sp.sp_net <- id)
+      t.p_net.(p) <- id;
+      t.n_pin <- room t.n_pin !k 0;
+      t.n_pin.(!k) <- p;
+      incr k)
     pins;
-  Dyn.push t.b_nets { sn_name = name; sn_weight = weight; sn_pins = Array.of_list pins };
+  if id = Array.length t.n_weight then begin
+    t.n_name <- room t.n_name id "";
+    t.n_weight <- room t.n_weight id 0.0
+  end;
+  t.n_off <- room t.n_off (id + 1) 0;
+  t.n_name.(id) <- name;
+  t.n_weight.(id) <- weight;
+  t.n_off.(id + 1) <- !k;
+  t.nn <- id + 1;
   id
 
 let set_position t i ~x ~y =
   check_alive t;
-  let c = Dyn.get t.b_cells i in
-  c.sc_x <- x;
-  c.sc_y <- y
+  check_cell t "set_position" i;
+  t.c_x.(i) <- x;
+  t.c_y.(i) <- y
 
 let set_orient t i o =
   check_alive t;
-  (Dyn.get t.b_cells i).sc_orient <- o
+  check_cell t "set_orient" i;
+  t.c_orient.(i) <- o
 
 let add_group t g =
   check_alive t;
   Dyn.push t.b_groups g
 
-let cell_id t name = Hashtbl.find_opt t.b_cell_names name
+let cell_id t name =
+  let id = Nametab.find t.c_name name in
+  if id < 0 then None else Some id
+
+let find_cell t b ~pos ~len = Nametab.find_sub t.c_name b ~pos ~len
 
 let cell_dims t i =
-  if i < 0 || i >= Dyn.length t.b_cells then invalid_arg "Builder.cell_dims: bad cell id";
-  let c = Dyn.get t.b_cells i in
-  c.sc_w, c.sc_h
-
-let num_cells t = Dyn.length t.b_cells
+  check_cell t "cell_dims" i;
+  t.c_w.(i), t.c_h.(i)
 
 let movable_area t =
   let acc = ref 0.0 in
-  Dyn.iter
-    (fun sc ->
-      match sc.sc_kind with
-      | Types.Movable -> acc := !acc +. (sc.sc_w *. sc.sc_h)
-      | Types.Fixed | Types.Pad -> ())
-    t.b_cells;
+  for i = 0 to num_cells t - 1 do
+    match t.c_kind.(i) with
+    | Types.Movable -> acc := !acc +. (t.c_w.(i) *. t.c_h.(i))
+    | Types.Fixed | Types.Pad -> ()
+  done;
   !acc
-let num_nets t = Dyn.length t.b_nets
+
+let num_nets t = t.nn
+
+(* Each cell's pin ids in ascending order — the order [add_pin] handed
+   them out — by one counting sort over the pins' owners. *)
+let cell_pins t =
+  let fill = Array.make (num_cells t) 0 in
+  for p = 0 to t.np - 1 do
+    let c = t.p_cell.(p) in
+    fill.(c) <- fill.(c) + 1
+  done;
+  let pins = Array.map (fun k -> Array.make k 0) fill in
+  Array.fill fill 0 (num_cells t) 0;
+  for p = 0 to t.np - 1 do
+    let c = t.p_cell.(p) in
+    pins.(c).(fill.(c)) <- p;
+    fill.(c) <- fill.(c) + 1
+  done;
+  pins
 
 let finish t =
   check_alive t;
   t.b_finished <- true;
-  let nc = Dyn.length t.b_cells in
+  let nc = num_cells t in
+  let c_pins = cell_pins t in
   let cells =
     Array.init nc (fun i ->
-        let sc = Dyn.get t.b_cells i in
         {
           Types.c_id = i;
-          c_name = sc.sc_name;
-          c_master = sc.sc_master;
-          c_width = sc.sc_w;
-          c_height = sc.sc_h;
-          c_kind = sc.sc_kind;
-          c_pins = Dyn.to_array sc.sc_pins;
+          c_name = Nametab.name t.c_name i;
+          c_master = t.c_master.(i);
+          c_width = t.c_w.(i);
+          c_height = t.c_h.(i);
+          c_kind = t.c_kind.(i);
+          c_pins = c_pins.(i);
         })
   in
   let pins =
-    Array.init (Dyn.length t.b_pins) (fun i ->
-        let sp = Dyn.get t.b_pins i in
+    Array.init t.np (fun i ->
         {
           Types.p_id = i;
-          p_cell = sp.sp_cell;
-          p_net = sp.sp_net;
-          p_dir = sp.sp_dir;
-          p_dx = sp.sp_dx;
-          p_dy = sp.sp_dy;
+          p_cell = t.p_cell.(i);
+          p_net = t.p_net.(i);
+          p_dir = t.p_dir.(i);
+          p_dx = t.p_dx.(i);
+          p_dy = t.p_dy.(i);
         })
   in
   let nets =
-    Array.init (Dyn.length t.b_nets) (fun i ->
-        let sn = Dyn.get t.b_nets i in
-        { Types.n_id = i; n_name = sn.sn_name; n_weight = sn.sn_weight; n_pins = sn.sn_pins })
+    Array.init t.nn (fun i ->
+        let lo = t.n_off.(i) in
+        {
+          Types.n_id = i;
+          n_name = t.n_name.(i);
+          n_weight = t.n_weight.(i);
+          n_pins = Array.sub t.n_pin lo (t.n_off.(i + 1) - lo);
+        })
   in
-  let x = Array.init nc (fun i -> (Dyn.get t.b_cells i).sc_x) in
-  let y = Array.init nc (fun i -> (Dyn.get t.b_cells i).sc_y) in
-  let orient = Array.init nc (fun i -> (Dyn.get t.b_cells i).sc_orient) in
   let groups = Array.to_list (Dyn.to_array t.b_groups) in
   List.iter
     (fun g ->
@@ -217,8 +289,8 @@ let finish t =
     cells;
     nets;
     pins;
-    x;
-    y;
-    orient;
+    x = Array.sub t.c_x 0 nc;
+    y = Array.sub t.c_y 0 nc;
+    orient = Array.sub t.c_orient 0 nc;
     groups;
   }

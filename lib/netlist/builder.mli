@@ -3,7 +3,12 @@
     immutable-shape {!Design.t}.
 
     Ids are handed out contiguously in creation order, so a builder-driven
-    generator is fully deterministic. *)
+    generator is fully deterministic.
+
+    Staging uses flat arrays, one per field with the floats unboxed, grown
+    by doubling; no per-cell, per-pin or per-net record exists before
+    {!finish}, which lists each cell's pins in pin-id order by one
+    counting sort. *)
 
 type t
 
@@ -53,6 +58,11 @@ val add_group : t -> Groups.t -> unit
 
 val cell_id : t -> string -> int option
 (** Look up a cell by name. *)
+
+val find_cell : t -> Bytes.t -> pos:int -> len:int -> int
+(** The id of the cell named [Bytes.sub_string b pos len], or [-1] —
+    allocation-free, so a streaming parser looks names up in its input
+    buffer. *)
 
 val cell_dims : t -> int -> float * float
 (** Width and height of an already-added cell — lets a streaming parser

@@ -133,7 +133,7 @@ let of_design (d : Design.t) =
   let nn = Design.num_nets d in
   let np = Design.num_pins d in
   guard_pin_count ~name:d.Design.name np;
-  let pool = Dpp_util.Strpool.create () in
+  let masters = Dpp_util.Nametab.create 64 in
   let cell_name = Array.make nc "" in
   let cell_master = Array.make nc "" in
   let width = Array.make nc 0.0 in
@@ -143,7 +143,7 @@ let of_design (d : Design.t) =
   for i = 0 to nc - 1 do
     let c = d.Design.cells.(i) in
     cell_name.(i) <- c.Types.c_name;
-    cell_master.(i) <- Dpp_util.Strpool.intern pool c.Types.c_master;
+    cell_master.(i) <- Dpp_util.Nametab.(name masters (add masters c.Types.c_master));
     width.(i) <- c.Types.c_width;
     height.(i) <- c.Types.c_height;
     I8.set kind i (code_of_kind c.Types.c_kind);
@@ -160,7 +160,7 @@ let of_design (d : Design.t) =
   let net_pin_off = I32.make (nn + 1) 0 in
   for n = 0 to nn - 1 do
     let nt = d.Design.nets.(n) in
-    net_name.(n) <- Dpp_util.Strpool.intern pool nt.Types.n_name;
+    net_name.(n) <- nt.Types.n_name;
     net_weight.(n) <- nt.Types.n_weight;
     I32.set net_pin_off (n + 1) (I32.get net_pin_off n + Array.length nt.Types.n_pins)
   done;

@@ -71,7 +71,7 @@ type t = {
   cell_pin_off : Dpp_util.Compact.I32.t;
       (** cell->pin CSR offsets, length [num_cells + 1] *)
   cell_pin : Dpp_util.Compact.I32.t;  (** pin ids, cell pin-list order preserved *)
-  net_name : string array;  (** interned through the same pool as [cell_master] *)
+  net_name : string array;  (** shared with the design's net records, not copied *)
   net_weight : float array;
   net_pin_off : Dpp_util.Compact.I32.t;
       (** net->pin CSR offsets, length [num_nets + 1] *)

@@ -103,15 +103,14 @@ let build ?stage_order ?slice_order ?fold (d : Design.t) g =
   }
 
 let internal_coupling (d : Design.t) g =
-  let members = Groups.member_set g in
+  let member = Array.make (Design.num_cells d) false in
+  Array.iter (Array.iter (fun c -> if c >= 0 then member.(c) <- true)) g.Groups.g_rows;
   let intra = ref 0 and boundary = ref 0 in
   Array.iter
     (fun (net : Types.net) ->
       let inside = ref 0 and outside = ref 0 in
       Array.iter
-        (fun p ->
-          let c = (Design.pin d p).Types.p_cell in
-          if Hashtbl.mem members c then incr inside else incr outside)
+        (fun p -> if member.((Design.pin d p).Types.p_cell) then incr inside else incr outside)
         net.Types.n_pins;
       if !inside > 0 then
         if !outside = 0 then intra := !intra + !inside else boundary := !boundary + !inside)
@@ -119,9 +118,9 @@ let internal_coupling (d : Design.t) g =
   float_of_int !intra /. float_of_int (max 1 (!intra + !boundary))
 
 let slice_span (d : Design.t) g =
-  let slice_of = Hashtbl.create 256 in
+  let slice_of = Array.make (Design.num_cells d) (-1) in
   Array.iteri
-    (fun s row -> Array.iter (fun c -> if c >= 0 then Hashtbl.replace slice_of c s) row)
+    (fun s row -> Array.iter (fun c -> if c >= 0 then slice_of.(c) <- s) row)
     g.Groups.g_rows;
   let total = ref 0.0 and count = ref 0 in
   Array.iter
@@ -129,12 +128,11 @@ let slice_span (d : Design.t) g =
       let smin = ref max_int and smax = ref min_int and outside = ref false in
       Array.iter
         (fun p ->
-          let c = (Design.pin d p).Types.p_cell in
-          match Hashtbl.find_opt slice_of c with
-          | Some s ->
+          match slice_of.((Design.pin d p).Types.p_cell) with
+          | -1 -> outside := true
+          | s ->
             if s < !smin then smin := s;
-            if s > !smax then smax := s
-          | None -> outside := true)
+            if s > !smax then smax := s)
         net.Types.n_pins;
       if (not !outside) && !smax > min_int && !smin < max_int then begin
         total := !total +. float_of_int (!smax - !smin);

@@ -281,6 +281,177 @@ let test_rows_past_float_range () =
         if not (String.starts_with ~prefix:(path ^ ": ") msg) then
           Alcotest.failf "message %S does not name %s" msg path)
 
+(* Two pads of width 0 on rows without NumSites: the die-width fallback
+   (four times the widest node) gives 0, which the reader rejects against
+   the .scl file instead of handing the flow a zero-width die. *)
+let test_zero_width_die () =
+  let b =
+    Builder.create ~name:"pads"
+      ~die:(Dpp_geom.Rect.make ~xl:0.0 ~yl:0.0 ~xh:40.0 ~yh:10.0)
+      ~row_height:10.0 ~site_width:1.0 ()
+  in
+  let pad name = Builder.add_cell b ~name ~master:"PAD" ~w:0.0 ~h:0.0 ~kind:Types.Pad in
+  let p = pad "p0" and q = pad "p1" in
+  let pp = Builder.add_pin b ~cell:p ~dir:Types.Output () in
+  let pq = Builder.add_pin b ~cell:q ~dir:Types.Input () in
+  ignore (Builder.add_net b ~name:"n0" [ pp; pq ]);
+  with_written (Builder.finish b) (fun base ->
+      let path = base ^ ".scl" in
+      write_lines path
+        (List.map
+           (fun l ->
+             match String.index_opt l 'N' with
+             | Some i when String.starts_with ~prefix:"  SubrowOrigin" l -> String.sub l 0 i
+             | _ -> l)
+           (read_lines path));
+      Alcotest.(check bool) "NumSites is gone" false
+        (List.exists
+           (fun l -> String.starts_with ~prefix:"  SubrowOrigin" l && String.contains l 'N')
+           (read_lines path));
+      match Bookshelf.read ~basename:base with
+      | d -> Alcotest.failf "read accepted a die of width %g" (Dpp_geom.Rect.width d.Design.die)
+      | exception Bookshelf.Parse_error msg ->
+        if not (String.starts_with ~prefix:(path ^ ": ") msg) then
+          Alcotest.failf "message %S does not name %s" msg path)
+
+let movable_names k = List.init k (Printf.sprintf "m%d")
+
+let numbers_design k =
+  let b =
+    Builder.create ~name:"nums"
+      ~die:(Dpp_geom.Rect.make ~xl:0.0 ~yl:0.0 ~xh:400.0 ~yh:20.0)
+      ~row_height:10.0 ~site_width:1.0 ()
+  in
+  List.iter
+    (fun name -> ignore (Builder.add_cell b ~name ~master:"INV" ~w:2.0 ~h:10.0 ~kind:Types.Movable))
+    (movable_names k);
+  Builder.finish b
+
+(* A design of movable cells whose .pl coordinates are [toks], two per
+   line (an odd count repeats the last token), read back: each coordinate
+   must carry exactly the bits [float_of_string] gives its token. *)
+let check_numbers toks =
+  let toks = Array.of_list toks in
+  let k = (Array.length toks + 1) / 2 in
+  with_written (numbers_design k) (fun base ->
+      let tok i = toks.(min i (Array.length toks - 1)) in
+      write_lines (base ^ ".pl")
+        ("UCLA pl 1.0"
+        :: List.mapi
+             (fun c name -> Printf.sprintf "%s %s %s : N" name (tok (2 * c)) (tok ((2 * c) + 1)))
+             (movable_names k));
+      let d = Bookshelf.read ~basename:base in
+      let same tok v =
+        Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float (float_of_string tok))
+      in
+      List.iteri
+        (fun c _ ->
+          if not (same (tok (2 * c)) d.Design.x.(c) && same (tok ((2 * c) + 1)) d.Design.y.(c)) then
+            Alcotest.failf "%s %s read as %h %h" (tok (2 * c)) (tok ((2 * c) + 1)) d.Design.x.(c)
+              d.Design.y.(c))
+        (movable_names k);
+      true)
+
+let test_number_cases () =
+  ignore (check_numbers [ "1e3"; "1_0.5"; "0x1p3"; ".5"; "5."; "-0.0000"; "+2"; "-.25"; "007" ])
+
+(* A sign, leading zeros, 1-20 significant digits and 0-25 fraction
+   digits: both sides of the exact fast path (at most 15 significant and
+   22 fraction digits) and the [float_of_string] fallback past it. *)
+let prop_numbers_read_exactly =
+  let token =
+    QCheck.Gen.(
+      let* sign = oneofl [ ""; "-"; "+" ] in
+      let* zeros = int_range 0 3 in
+      let* first = int_range 1 9 in
+      let* rest = list_size (int_range 0 19) (int_range 0 9) in
+      let+ frac = int_range 0 25 in
+      let m =
+        String.make zeros '0' ^ string_of_int first ^ String.concat "" (List.map string_of_int rest)
+      in
+      let n = String.length m in
+      sign
+      ^
+      if frac = 0 then m
+      else if frac <= n then String.sub m 0 (n - frac) ^ "." ^ String.sub m (n - frac) frac
+      else "0." ^ String.make (frac - n) '0' ^ m)
+  in
+  QCheck.Test.make ~name:"numbers read to float_of_string's bits" ~count:100
+    (QCheck.make ~print:(String.concat " ") QCheck.Gen.(list_size (return 60) token))
+    check_numbers
+
+(* A .groups row longer than the 64 KiB refill buffer: cells with 30000-
+   character names, so the one row is ~90 KiB. *)
+let test_long_group_row () =
+  let b =
+    Builder.create ~name:"long"
+      ~die:(Dpp_geom.Rect.make ~xl:0.0 ~yl:0.0 ~xh:40.0 ~yh:20.0)
+      ~row_height:10.0 ~site_width:1.0 ()
+  in
+  let cell k =
+    Builder.add_cell b ~name:(String.make 30_000 (Char.chr (Char.code 'a' + k))) ~master:"INV"
+      ~w:2.0 ~h:10.0 ~kind:Types.Movable
+  in
+  let cells = Array.init 3 cell in
+  Builder.add_group b (Groups.make "g0" [| cells |]);
+  let d = Builder.finish b in
+  with_written d (fun base ->
+      Alcotest.(check bool) "the row is longer than the buffer" true
+        (List.exists (fun l -> String.length l > 65536) (read_lines (base ^ ".groups")));
+      let d' = Bookshelf.read ~basename:base in
+      Alcotest.(check bool) "cells" true (d.Design.cells = d'.Design.cells);
+      Alcotest.(check bool) "groups" true (d.Design.groups = d'.Design.groups))
+
+(* Every file without the newline after its last line, then with CR as
+   the only separator inside each line: both read as the clean files. *)
+let test_line_ends () =
+  let d = Dpp_gen.Compose.build small_spec in
+  with_written d (fun base ->
+      let clean = Bookshelf.read ~basename:base in
+      let same label (d' : Design.t) =
+        Alcotest.(check bool) label true
+          (clean.Design.cells = d'.Design.cells && clean.Design.pins = d'.Design.pins
+          && clean.Design.nets = d'.Design.nets && clean.Design.x = d'.Design.x
+          && clean.Design.y = d'.Design.y && clean.Design.groups = d'.Design.groups
+          && clean.Design.die = d'.Design.die)
+      in
+      let exts = [ ".aux"; ".nodes"; ".nets"; ".pl"; ".scl"; ".masters"; ".groups" ] in
+      List.iter
+        (fun ext ->
+          let path = base ^ ext in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (String.sub text 0 (String.length text - 1))))
+        exts;
+      same "no final newline" (Bookshelf.read ~basename:base);
+      List.iter
+        (fun ext ->
+          let path = base ^ ext in
+          write_lines path
+            (List.map (String.map (fun c -> if c = ' ' then '\r' else c)) (read_lines path)))
+        exts;
+      Alcotest.(check bool) "CR separates the tokens" true
+        (List.exists (String.starts_with ~prefix:"NumNodes\r:\r") (read_lines (base ^ ".nodes")));
+      same "CR-only separators" (Bookshelf.read ~basename:base))
+
+(* Words the reader allocates per pin (minor + major - promoted) on the
+   generator's xl10k.  The count repeats exactly for a given binary.  The
+   bound is ~1.5x what a reader that lexes in place into a flat Builder
+   measures (108.5); one that allocates a string per line and per token
+   and a record per staged entity measures ~256. *)
+let test_read_allocation () =
+  let d = Option.get (Dpp_gen.Xl.by_name "xl10k") in
+  with_written d (fun base ->
+      let words () =
+        let s = Gc.quick_stat () in
+        s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+      in
+      let w0 = words () in
+      let d' = Bookshelf.read ~basename:base in
+      let per_pin = (words () -. w0) /. float_of_int (Design.num_pins d') in
+      if per_pin > 160.0 then
+        Alcotest.failf "read allocates %.1f words per pin (bound 160)" per_pin)
+
 let suite =
   [
     Alcotest.test_case "roundtrip counts" `Quick test_roundtrip_counts;
@@ -300,3 +471,11 @@ let suite =
       (fun (name, ext, prefix, by) ->
         Alcotest.test_case ("malformed: " ^ name) `Quick (expect_parse_error ~ext ~prefix ~by))
       malformed
+  @ [
+      Alcotest.test_case "malformed: zero-width die" `Quick test_zero_width_die;
+      Alcotest.test_case "number cases" `Quick test_number_cases;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |]) prop_numbers_read_exactly;
+      Alcotest.test_case "group row past the buffer" `Quick test_long_group_row;
+      Alcotest.test_case "line ends" `Quick test_line_ends;
+      Alcotest.test_case "read allocation" `Quick test_read_allocation;
+    ]

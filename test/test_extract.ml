@@ -63,7 +63,7 @@ let test_signature_replicas_cohere () =
   let d = adder_design 16 100 in
   let s = Soa.of_design d in
   let nc = Netclass.classify s ~max_data_degree:5 in
-  let sg = Signature.compute d nc ~iterations:3 in
+  let sg = Signature.compute s nc ~iterations:3 in
   let truth = List.hd d.Design.groups in
   (* count distinct classes among the adder's first-stage cells *)
   let stage_cells k =
@@ -82,15 +82,15 @@ let test_signature_fixed_excluded () =
   let d = adder_design 8 50 in
   let s = Soa.of_design d in
   let nc = Netclass.classify s ~max_data_degree:5 in
-  let sg = Signature.compute d nc ~iterations:2 in
+  let sg = Signature.compute s nc ~iterations:2 in
   Array.iter
     (fun i -> Alcotest.(check int) "pad has no class" (-1) (Signature.class_of sg i))
     (Design.fixed_ids d)
 
 let test_signature_pin_class_stable () =
-  let d = adder_design 8 50 in
+  let s = Soa.of_design (adder_design 8 50) in
   (* equal pins hash equally, distinct offsets differ *)
-  let p0 = Signature.pin_class d 0 and p0' = Signature.pin_class d 0 in
+  let p0 = Signature.pin_class s 0 and p0' = Signature.pin_class s 0 in
   Alcotest.(check int) "deterministic" p0 p0'
 
 (* ---------------- Slicer ---------------- *)

@@ -36,4 +36,5 @@ let () =
       "experiment", Test_experiment.suite;
       "properties", Test_properties.suite;
       "corners", Test_corners.suite;
+      "golden", Test_golden.suite;
     ]
