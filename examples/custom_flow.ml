@@ -64,7 +64,6 @@ let () =
   let legal =
     Dpp_place.Legal.run d ~soa ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy ()
   in
-  Dpp_place.Abacus.run d ~target_cx:gp.Dpp_place.Gp.cx ~legal ();
   let netbox =
     Dpp_wirelen.Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy
   in

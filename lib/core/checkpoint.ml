@@ -259,18 +259,4 @@ module Snapshot = struct
     }
 
   let decode s = of_json (Json.parse s)
-
-  let save ~path s =
-    (* write-then-rename so a kill mid-write never leaves a torn spool
-       file for the restarted server to trip over *)
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc s);
-    Sys.rename tmp path
-
-  let load ~path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> decode (really_input_string ic (in_channel_length ic)))
 end

@@ -47,9 +47,10 @@ module Snapshot : sig
 
   val restore : t -> Ctx.t -> unit
   (** Install the snapshot into a context freshly created over the same
-      design (a {!Flow.run_stages} [prepare] hook).  Orientation diffs are
-      applied to both the design and the shared pin view, so no rebuild is
-      needed.  @raise Invalid_argument on a cell-count mismatch. *)
+      design by {!Flow.context}, before {!Flow.run_ctx}.  Orientation
+      diffs are applied to both the design and the shared pin view, so no
+      rebuild is needed.  @raise Invalid_argument on a cell-count
+      mismatch. *)
 
   val of_json : Dpp_report.Json.t -> t
   (** The spool object; the serve layer embeds it next to the job spec. *)
@@ -61,10 +62,4 @@ module Snapshot : sig
   val encode : t -> string
   val decode : string -> t
   (** @raise Dpp_report.Json.Parse_error on malformed input. *)
-
-  val save : path:string -> t -> unit
-  (** Atomic (write to a temp file, then rename), so a kill mid-write
-      never leaves a torn spool file. *)
-
-  val load : path:string -> t
 end

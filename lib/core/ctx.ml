@@ -39,7 +39,6 @@ type t = {
   mutable gp_levels : Dpp_place.Gp.level_info list;
   mutable detail_stats : Dpp_place.Detail.stats option;
   mutable flip_stats : Dpp_place.Flip.stats option;
-  mutable hpwl_legal : float;
   mutable steiner_final : float;
   mutable steiner : Dpp_steiner.Rsmt.nets;
   mutable congestion : Dpp_congest.Rudy.stats option;
@@ -78,7 +77,6 @@ let create design config =
     gp_levels = [];
     detail_stats = None;
     flip_stats = None;
-    hpwl_legal = 0.0;
     steiner_final = 0.0;
     steiner = Dpp_steiner.Rsmt.empty;
     congestion = None;

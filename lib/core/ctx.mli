@@ -1,23 +1,25 @@
 (** The shared placement context threaded through the flow's stages.
 
-    One [t] is allocated per {!Flow.run}: it owns the placed design copy,
-    the two netlist views derived from it, the live coordinate arrays,
-    and, from legalization onward, the {!Dpp_wirelen.Netbox}
-    incremental-cost cache that the detailed-placement and flip stages
-    evaluate their moves against.  Stages communicate exclusively by
-    mutating the context.
+    One [t] is allocated per flow, by {!Flow.context}: it owns the placed
+    design copy, the two netlist views derived from it, the live
+    coordinate arrays, and, from legalization onward, the
+    {!Dpp_wirelen.Netbox} incremental-cost cache that the
+    detailed-placement and flip stages evaluate their moves against.
+    Stages communicate exclusively by mutating the context.
 
     {!create} is the only place a flow derives the input design's [soa]
     and [pins]; every stage hands them to its engine as required
-    arguments.  The flip stage mirrors pin offsets in place
-    through the netbox, so the pin view stays valid after it. *)
+    arguments.  An ECO op is one flow too: {!Eco.plan} reads the same
+    views before the op's stages run on the context.  The flip stage
+    mirrors pin offsets in place through the netbox, so the pin view
+    stays valid after it. *)
 
 type t = {
   design : Dpp_netlist.Design.t;  (** the placed copy being optimized *)
   config : Config.t;
   pool : Dpp_par.Pool.t;
       (** worker pool sized from [config.jobs], shared by every stage's
-          cost kernels; {!Flow.run} shuts it down when the flow ends *)
+          cost kernels; {!Flow.run_ctx} shuts it down when the flow ends *)
   arena : Dpp_util.Arena.t;
       (** per-context scratch arena recycled by GP rounds, netbox
           rescans and RUDY evaluations; single-domain — each serve
@@ -68,7 +70,6 @@ type t = {
       (** per-level V-cycle solve records, ascending level order *)
   mutable detail_stats : Dpp_place.Detail.stats option;
   mutable flip_stats : Dpp_place.Flip.stats option;
-  mutable hpwl_legal : float;
   mutable steiner_final : float;
   mutable steiner : Dpp_steiner.Rsmt.nets;
       (** per-net Steiner lengths behind [steiner_final]: {!Dpp_steiner.Rsmt.empty}

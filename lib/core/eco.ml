@@ -1,6 +1,5 @@
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
-module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
 module Rect = Dpp_geom.Rect
 module Json = Dpp_report.Json
@@ -297,15 +296,15 @@ let row_align (d : Design.t) (r : Rect.t) =
 let y_overlaps (region : Rect.t) (r : Rect.t) =
   r.Rect.yl < region.Rect.yh -. 1e-9 && r.Rect.yh > region.Rect.yl +. 1e-9
 
-let plan (base : Design.t) edits =
-  let a = apply base edits in
-  let d = a.edited in
+let plan (ctx : Ctx.t) (a : applied) =
+  let d = ctx.Ctx.design in
   let rh = d.Design.row_height in
   let n = Design.num_cells d in
-  (* replay the coordinate edits through a netbox to learn which net boxes
-     actually moved: this is the [Netbox.dirty_nets] delta export *)
-  let pins = Pins.build d in
-  let cx, cy = Pins.centers_of_design d in
+  (* replay the coordinate edits through a netbox over the context's pin
+     view to learn which net boxes actually moved: this is the
+     [Netbox.dirty_nets] delta export *)
+  let pins = ctx.Ctx.pins in
+  let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
   let nb_cx = Array.copy cx and nb_cy = Array.copy cy in
   List.iter
     (fun (i, dx, dy) ->
@@ -443,31 +442,33 @@ type base = { design : Design.t; steiner : Dpp_steiner.Rsmt.nets }
 let base_of_result (r : Flow.result) = { design = r.Flow.design; steiner = r.Flow.steiner_nets }
 
 let run ?observer ?check ?(threshold = default_threshold) ~base edits (cfg : Config.t) =
-  let p = plan base.design edits in
-  if p.dirty_fraction > threshold then begin
-    Log.info (fun m ->
-        m "dirty fraction %.3f > %.3f: falling back to the full flow" p.dirty_fraction
-          threshold);
-    let flow = Flow.run ?observer ?check p.applied.edited cfg in
-    { flow; plan = p; fallback = true }
-  end
-  else begin
-    Log.info (fun m ->
-        m "incremental: %d dirty cells (%.3f), region %.0fx%.0f"
-          (Array.length p.dirty) p.dirty_fraction (Rect.width p.region)
-          (Rect.height p.region));
-    let prepare (ctx : Ctx.t) =
+  let a = apply base.design edits in
+  (* one validation and one soa/pins derivation per op: the plan reads the
+     same context the stages then run on *)
+  let ctx = Flow.context a.edited cfg in
+  let p = plan ctx a in
+  let fallback = p.dirty_fraction > threshold in
+  let stages =
+    if fallback then begin
+      Log.info (fun m ->
+          m "dirty fraction %.3f > %.3f: falling back to the full flow" p.dirty_fraction
+            threshold);
+      Flow.stages cfg
+    end
+    else begin
+      Log.info (fun m ->
+          m "incremental: %d dirty cells (%.3f), region %.0fx%.0f"
+            (Array.length p.dirty) p.dirty_fraction (Rect.width p.region)
+            (Rect.height p.region));
       Ctx.set_skip ctx p.frozen;
       Ctx.set_flip_skip ctx p.frozen;
       ctx.Ctx.bound <- Some p.region;
       ctx.Ctx.obstacles <- p.obstacles;
-      ctx.Ctx.steiner <- base.steiner
-    in
-    let flow =
-      Flow.run_stages ~prepare ?observer ?check ~stages:Flow.eco_stages p.applied.edited cfg
-    in
-    { flow; plan = p; fallback = false }
-  end
+      ctx.Ctx.steiner <- base.steiner;
+      Flow.eco_stages
+    end
+  in
+  { flow = Flow.run_ctx ?observer ?check ~stages ctx; plan = p; fallback }
 
 (* ----- seeded edit generation (bench, fuzz, and smoke-test traffic) ----- *)
 

@@ -82,12 +82,15 @@ type plan = {
   dirty_fraction : float;  (** |dirty| / movables of the edited design *)
 }
 
-val plan : Dpp_netlist.Design.t -> edit list -> plan
-(** Compute the dirty region and cell partition for an edit list against
-    a placed base design.  The region starts two row heights around the
-    disturbed hull and grows until the dirty cells fit (or the whole die
-    is dirty).  Every movable single-row cell inside it is re-placed:
-    snapped datapath groups of a structure-aware base are not protected. *)
+val plan : Ctx.t -> applied -> plan
+(** Compute the dirty region and cell partition for applied edits, on a
+    context over the edited design ({!Flow.context} of [applied.edited]):
+    the coordinate edits are replayed through a netbox over the context's
+    [pins], [cx] and [cy], and nothing in the context is modified.  The
+    region starts two row heights around the disturbed hull and grows
+    until the dirty cells fit (or the whole die is dirty).  Every movable
+    single-row cell inside it is re-placed: snapped datapath groups of a
+    structure-aware base are not protected. *)
 
 type result = {
   flow : Flow.result;
@@ -117,20 +120,24 @@ val run :
   edit list ->
   Config.t ->
   result
-(** Incrementally re-place [base.design] under the edit list.  Below the
-    dirty threshold this runs {!Flow.eco_stages} with the plan's region,
-    skip sets, obstacles and [base.steiner] installed; above it, the full
-    flow on the edited design, which starts from an empty record.  The
-    metrics stage reuses a base length only for a net whose pin
-    coordinates are bit-identical to the base's, so every figure equals a
-    full recompute whatever record is passed; a record of another
-    placement only costs time.  The reuse is keyed on coordinates, not on
-    the dirty cells: the flip stage mirrors pin offsets in place, so the
-    base flow's view and a fresh view of the same placement can differ in
-    the last bits of a few nets.  [observer] and [check] behave as in
-    {!Flow.run} (in check mode the full legality oracles hold from the
-    legalize boundary on, clean region included, and the metrics
-    boundary recomputes Steiner without reuse). *)
+(** Incrementally re-place [base.design] under the edit list.  One op
+    applies the edits, validates the edited design and derives its views
+    once ({!Flow.context}), plans on that context, and runs its stages on
+    the same context ({!Flow.run_ctx}).  Below the dirty threshold these
+    are {!Flow.eco_stages}, with the plan's region, skip sets, obstacles
+    and [base.steiner] installed; above it, the full {!Flow.stages}, which
+    start from an empty Steiner record and return what {!Flow.run} on
+    [applied.edited] returns.  The metrics stage reuses a base length
+    only for a net whose pin coordinates are bit-identical to the base's,
+    so every figure equals a full recompute whatever record is passed; a
+    record of another placement only costs time.  The reuse is keyed on
+    coordinates, not on the dirty cells: the flip stage mirrors pin
+    offsets in place, so the base flow's view and a fresh view of the
+    same placement can differ in the last bits of a few nets.  [observer]
+    and [check] behave as in {!Flow.run} (in check mode the full legality
+    oracles hold from the legalize boundary on, clean region included,
+    and the metrics boundary recomputes Steiner without reuse).
+    @raise Flow.Invalid_design when the edited design fails validation. *)
 
 val random_edits : ?ops:int -> seed:int -> Dpp_netlist.Design.t -> edit list
 (** A deterministic, seeded edit list of [ops] edits (default 4), cycling

@@ -12,7 +12,6 @@ module Shaping = Dpp_structure.Shaping
 module Qp = Dpp_place.Qp
 module Gp = Dpp_place.Gp
 module Legal = Dpp_place.Legal
-module Abacus = Dpp_place.Abacus
 module Detail = Dpp_place.Detail
 module Trace = Dpp_report.Trace
 module Json = Dpp_report.Json
@@ -24,7 +23,6 @@ exception Check_failed of { stage : string; violations : string list }
 type result = {
   design : Design.t;
   config : Config.t;
-  hpwl_legal : float;
   hpwl_final : float;
   steiner_final : float;
   steiner_nets : Rsmt.nets;
@@ -210,13 +208,10 @@ let legal_stage =
             ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound ~soa:ctx.Ctx.soa ~cx:ctx.Ctx.cx
             ~cy:ctx.Ctx.cy ()
         in
-        Abacus.run d ~extra_obstacles:ctx.Ctx.obstacles ~skip:ctx.Ctx.skip
-          ~target_cx:ctx.Ctx.cx ~legal:l ();
         if l.Legal.failed <> [] then
           Log.err (fun m -> m "%d cells could not be legalized" (List.length l.Legal.failed));
         ctx.Ctx.legal <- Some l;
         Ctx.set_coords ctx l.Legal.cx l.Legal.cy;
-        ctx.Ctx.hpwl_legal <- Ctx.hpwl ctx;
         ctx);
   }
 
@@ -288,8 +283,7 @@ let resume_stages ~stages:stage_list ~after =
 
 (* ----- driver ----- *)
 
-let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : Design.t)
-    (cfg : Config.t) =
+let context (input : Design.t) (cfg : Config.t) =
   let issues = Validate.check input in
   if not (Validate.is_clean issues) then raise (Invalid_design (Validate.errors issues));
   List.iter
@@ -298,9 +292,10 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
       | Validate.Warning -> Log.warn (fun m -> m "%a" Validate.pp_issue i)
       | Validate.Error -> ())
     issues;
+  Ctx.create (copy_design input) cfg
+
+let run_ctx ?observer ?(check = false) ~stages:stage_list (ctx : Ctx.t) =
   let t_start = Unix.gettimeofday () in
-  let ctx = Ctx.create (copy_design input) cfg in
-  (match prepare with Some f -> f ctx | None -> ());
   (* the worker pool must not outlive the flow, even on Check_failed *)
   Fun.protect ~finally:(fun () -> Dpp_par.Pool.shutdown ctx.Ctx.pool) @@ fun () ->
   let reports = ref [] in
@@ -419,8 +414,7 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
   let gp = ctx.Ctx.gp in
   {
     design = d;
-    config = cfg;
-    hpwl_legal = ctx.Ctx.hpwl_legal;
+    config = ctx.Ctx.config;
     hpwl_final;
     steiner_final = ctx.Ctx.steiner_final;
     steiner_nets = ctx.Ctx.steiner;
@@ -436,8 +430,13 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
     total_time = Unix.gettimeofday () -. t_start;
   }
 
+let run_stages ?prepare ~stages (input : Design.t) (cfg : Config.t) =
+  let ctx = context input cfg in
+  Option.iter (fun f -> f ctx) prepare;
+  run_ctx ~stages ctx
+
 let run ?observer ?check (input : Design.t) (cfg : Config.t) =
-  run_stages ?observer ?check ~stages:(stages cfg) input cfg
+  run_ctx ?observer ?check ~stages:(stages cfg) (context input cfg)
 
 let trace_of_result (r : result) =
   {

@@ -28,7 +28,6 @@ exception Check_failed of { stage : string; violations : string list }
 type result = {
   design : Dpp_netlist.Design.t;  (** placed copy of the input *)
   config : Config.t;
-  hpwl_legal : float;
   hpwl_final : float;  (** after detailed placement and flipping *)
   steiner_final : float;
   steiner_nets : Dpp_steiner.Rsmt.nets;
@@ -50,6 +49,8 @@ type result = {
   stage_trace : Dpp_report.Trace.stage list;
       (** one record per pipeline stage, flow order *)
   total_time : float;
+      (** wall time from the first stage to the assembled result;
+          validation and context creation are not included *)
 }
 
 type stage = { name : string; run : Ctx.t -> Ctx.t }
@@ -69,38 +70,52 @@ val run :
   Dpp_netlist.Design.t ->
   Config.t ->
   result
-(** [observer] fires after each stage completes, with that stage's trace
+(** [run d cfg] is [run_ctx ~stages:(stages cfg) (context d cfg)].
+    [observer] fires after each stage completes, with that stage's trace
     record (name, wall time, HPWL before/after, overflow when tracked).
     With [~check:true] the {!Checkpoint} oracles validate the context at
     every stage boundary (verdicts land in the trace records, including
     the one handed to [observer]) and the first violation raises
     {!Check_failed}. *)
 
-val run_stages :
-  ?prepare:(Ctx.t -> unit) ->
+val context : Dpp_netlist.Design.t -> Config.t -> Ctx.t
+(** Validate the input (warnings are logged), copy it and derive the
+    context over the copy ({!Ctx.create}): the one place a flow pays for
+    validation and for its [soa] and [pins] views.  The context's worker
+    pool spawns no domain until a stage runs parallel work, so a caller
+    may read the context (as {!Eco.run} plans on it) and install state
+    into it before {!run_ctx}.
+    @raise Invalid_design when validation reports errors. *)
+
+val run_ctx :
   ?observer:(Dpp_report.Trace.stage -> unit) ->
   ?check:bool ->
   stages:stage list ->
-  Dpp_netlist.Design.t ->
-  Config.t ->
+  Ctx.t ->
   result
-(** Like {!run} but over an explicit stage list — the hook the mutation
-    tests and the fuzz harness use to splice fault-injection stages into
-    the pipeline, and the one incremental ECO re-placement and checkpoint
-    resume build on.  [prepare] runs right after context creation, before
-    any stage — it may install coordinates, skip sets, obstacles, and the
-    ECO [bound].  The list must end in a metrics stage for the result to
-    be assembled; when no gp stage is present [overflow_gp] is 0 and
-    [trace]/[rt_trace] are empty. *)
+(** Run an explicit stage list over a context from {!context}, assemble
+    the result and shut the context's worker pool down (also when a stage
+    raises).  [observer] and [check] behave as in {!run}.  The list must
+    end in a metrics stage for the result to be assembled; when no gp
+    stage is present [overflow_gp] is 0 and [trace]/[rt_trace] are
+    empty.  The stage list is the hook the mutation tests and the fuzz
+    harness use to splice fault-injection stages into the pipeline, and
+    the one incremental ECO re-placement and checkpoint resume build on. *)
+
+val run_stages :
+  ?prepare:(Ctx.t -> unit) -> stages:stage list -> Dpp_netlist.Design.t -> Config.t -> result
+(** {!context}, then [prepare] on the fresh context (it may install
+    coordinates, skip sets, obstacles and a bound), then {!run_ctx}
+    without observer or oracles. *)
 
 val eco_stages : stage list
 (** [legal; detail; flip; metrics] — the incremental ECO re-placement
     suffix.  Driven by the context's [bound], [skip], [flip_skip],
-    [obstacles] and [steiner] (see {!Eco}), all installed through
-    [prepare].  The metrics stage of any stage list measures Steiner
-    with {!Dpp_steiner.Rsmt.measure} against the context's [steiner]
-    record: empty in a full flow, the base's record in an ECO, and the
-    same total either way. *)
+    [obstacles] and [steiner] (see {!Eco}), which {!Eco.run} installs
+    before {!run_ctx}.  The metrics stage of any stage list measures
+    Steiner with {!Dpp_steiner.Rsmt.measure} against the context's
+    [steiner] record: empty in a full flow, the base's record in an ECO,
+    and the same total either way. *)
 
 val resume_stages : stages:stage list -> after:string -> stage list
 (** The suffix of [stages] strictly after the named stage — the stage

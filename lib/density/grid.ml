@@ -25,7 +25,6 @@ let bin_rect t ~ix ~iy =
   Rect.make ~xl ~yl ~xh:(xl +. t.bin_w) ~yh:(yl +. t.bin_h)
 
 let ix_of_x t x = clamp_ix t (int_of_float (floor ((x -. t.die.Rect.xl) /. t.bin_w)))
-let iy_of_y t y = clamp_iy t (int_of_float (floor ((y -. t.die.Rect.yl) /. t.bin_h)))
 
 let range_of_interval ~lo ~hi ~origin ~step ~n =
   let a = int_of_float (floor ((lo -. origin) /. step)) in

@@ -33,8 +33,6 @@ val clamp_iy : t -> int -> int
 val ix_of_x : t -> float -> int
 (** Bin column containing an x coordinate, clamped. *)
 
-val iy_of_y : t -> float -> int
-
 val range_of_interval : lo:float -> hi:float -> origin:float -> step:float -> n:int -> int * int
 (** Clamped inclusive bin index range intersecting [lo, hi). *)
 

@@ -50,8 +50,6 @@ let clamp_inside ~outer t =
   let dy = clamp_axis ~olo:outer.yl ~ohi:outer.yh t.yl t.yh in
   translate t ~dx ~dy
 
-let x_interval t = Interval.make t.xl t.xh
-let y_interval t = Interval.make t.yl t.yh
 
 let equal a b = a.xl = b.xl && a.yl = b.yl && a.xh = b.xh && a.yh = b.yh
 

@@ -30,7 +30,5 @@ val clamp_inside : outer:t -> t -> t
 (** Slide a rectangle the minimum distance so it lies inside [outer]; if it
     is larger than [outer] along an axis it is left-aligned on that axis. *)
 
-val x_interval : t -> Interval.t
-val y_interval : t -> Interval.t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

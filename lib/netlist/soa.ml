@@ -304,13 +304,3 @@ let oriented_dims t i = Orient.apply t.orient.(i) ~w:t.width.(i) ~h:t.height.(i)
 let cell_rect t i =
   let w, h = oriented_dims t i in
   Rect.make ~xl:t.x.(i) ~yl:t.y.(i) ~xh:(t.x.(i) +. w) ~yh:(t.y.(i) +. h)
-
-(* resident bytes of the compact (non-aliased) payloads, for the memory
-   ledger and the bytes-per-cell accounting in DESIGN.md *)
-let compact_bytes t =
-  (4 * (I32.length t.cell_pin_off + I32.length t.cell_pin + I32.length t.net_pin_off
-       + I32.length t.net_pin + I32.length t.pin_cell + I32.length t.pin_net
-       + I32.length t.net_cell_off + I32.length t.net_cell + I32.length t.cell_net_off
-       + I32.length t.cell_net))
-  + I8.length t.kind + I8.length t.pin_dir
-  + (8 * (F64.length t.pin_dx + F64.length t.pin_dy))

@@ -145,6 +145,3 @@ val cell_rect : t -> int -> Dpp_geom.Rect.t
 (** Bounding box of cell [i] at its current position and orientation —
     same values as {!Design.cell_rect}. *)
 
-val compact_bytes : t -> int
-(** Total bytes of the off-heap compact payloads (CSR + per-pin
-    metadata), for memory-ledger reporting. *)

@@ -25,10 +25,4 @@ type pin = {
 
 let direction_to_string = function Input -> "I" | Output -> "O" | Inout -> "B"
 
-let direction_of_string = function
-  | "I" | "input" -> Some Input
-  | "O" | "output" -> Some Output
-  | "B" | "inout" -> Some Inout
-  | _ -> None
-
 let is_fixed_kind = function Fixed | Pad -> true | Movable -> false

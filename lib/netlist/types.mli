@@ -39,6 +39,5 @@ type pin = {
 }
 
 val direction_to_string : direction -> string
-val direction_of_string : string -> direction option
 val is_fixed_kind : cell_kind -> bool
 (** [Fixed] and [Pad] cells are immovable. *)

@@ -1,8 +1,7 @@
 type problem = {
   n : int;
   eval : float array -> float;
-  grad : float array -> float array -> unit;
-  eval_grad : (float array -> float array -> float) option;
+  eval_grad : float array -> float array -> float;
 }
 
 type options = {
@@ -62,22 +61,13 @@ let minimize ?arena ?(options = default_options) p x0 =
     incr f_evals;
     p.eval x
   in
-  (* Fused value+gradient at a point where both are needed: one pass over
-     the objective's kernels instead of two.  The caller guarantees the
-     fused value is bit-identical to [eval]'s. *)
-  let eval_and_grad x g =
-    match p.eval_grad with
-    | Some eg ->
-      incr f_evals;
-      eg x g
-    | None ->
-      let fv = eval x in
-      p.grad x g;
-      fv
+  let eval_grad x g =
+    incr f_evals;
+    p.eval_grad x g
   in
   (* [scratch] holds the accepted pre-projection point; if projection left
-     every coordinate unchanged, the line-search value is still exact and
-     the re-evaluation can be skipped (the objective is deterministic). *)
+     every coordinate unchanged, the line-search value is still exact at
+     the new point (the objective is deterministic). *)
   let projection_moved x scratch =
     let moved = ref false in
     (try
@@ -90,7 +80,7 @@ let minimize ?arena ?(options = default_options) p x0 =
      with Exit -> ());
     !moved
   in
-  let f = ref (eval_and_grad x g) in
+  let f = ref (eval_grad x g) in
   for i = 0 to p.n - 1 do
     d.(i) <- -.g.(i)
   done;
@@ -99,6 +89,26 @@ let minimize ?arena ?(options = default_options) p x0 =
   let iter = ref 0 in
   let converged = ref (!gnorm <= options.grad_tol) in
   let stalled = ref false in
+  (* Take the line search's point: project it, move the gradient to
+     [g_prev] and fill [g] at the new point in one fused pass.  The value
+     is the line search's unless projection moved the point.  Returns the
+     previous objective value. *)
+  let accept (ls : Linesearch.result) =
+    Vec.copy_into scratch x;
+    let moved =
+      match options.project with
+      | Some proj ->
+        proj x;
+        projection_moved x scratch
+      | None -> false
+    in
+    let f_old = !f in
+    Vec.copy_into g g_prev;
+    let fv = eval_grad x g in
+    f := if moved then fv else ls.Linesearch.f_new;
+    step_hint := max 1e-12 (2.0 *. ls.Linesearch.step);
+    f_old
+  in
   while (not !converged) && (not !stalled) && !iter < options.max_iter do
     let slope = Vec.dot g d in
     (* If CG produced an ascent direction, restart on steepest descent. *)
@@ -113,84 +123,45 @@ let minimize ?arena ?(options = default_options) p x0 =
     in
     if slope >= 0.0 then stalled := true (* zero gradient, nothing to do *)
     else begin
-      let ls =
-        Linesearch.armijo ~f:eval ~x ~d ~f0:!f ~slope ~step0:!step_hint ~scratch ()
-      in
-      if not ls.Linesearch.ok then begin
-        (* Retry once from steepest descent with a unit-scaled step. *)
-        for i = 0 to p.n - 1 do
-          d.(i) <- -.g.(i)
-        done;
-        let slope = Vec.dot g d in
-        let ls2 =
-          Linesearch.armijo ~f:eval ~x ~d ~f0:!f ~slope
-            ~step0:(1.0 /. max 1.0 (Vec.nrm_inf g))
-            ~scratch ()
-        in
-        if not ls2.Linesearch.ok then stalled := true
+      let ls = Linesearch.armijo ~f:eval ~x ~d ~f0:!f ~slope ~step0:!step_hint ~scratch () in
+      let ls, restarted =
+        if ls.Linesearch.ok then ls, false
         else begin
-          Vec.copy_into scratch x;
-          let moved =
-            match options.project with
-            | Some proj ->
-              proj x;
-              projection_moved x scratch
-            | None -> false
-          in
-          let f_old = !f in
-          Vec.copy_into g g_prev;
-          if moved then f := eval_and_grad x g
-          else begin
-            f := ls2.Linesearch.f_new;
-            p.grad x g
-          end;
+          (* Retry once from steepest descent with a unit-scaled step. *)
           for i = 0 to p.n - 1 do
             d.(i) <- -.g.(i)
           done;
-          step_hint := max 1e-12 (2.0 *. ls2.Linesearch.step);
-          gnorm := Vec.nrm_inf g;
-          incr iter;
-          if !gnorm <= options.grad_tol then converged := true
-          else if
-            abs_float (f_old -. !f) <= options.f_tol *. (abs_float f_old +. 1e-30)
-          then converged := true
+          let slope = Vec.dot g d in
+          ( Linesearch.armijo ~f:eval ~x ~d ~f0:!f ~slope
+              ~step0:(1.0 /. max 1.0 (Vec.nrm_inf g))
+              ~scratch (),
+            true )
         end
-      end
+      in
+      if not ls.Linesearch.ok then stalled := true
       else begin
-        Vec.copy_into scratch x;
-        let moved =
-          match options.project with
-          | Some proj ->
-            proj x;
-            projection_moved x scratch
-          | None -> false
-        in
-        let f_old = !f in
-        Vec.copy_into g g_prev;
-        (* Projection may have moved the point; recompute f there only if it
-           actually did (fused with the gradient pass), otherwise the
-           line-search value is exact and only the gradient is needed. *)
-        if moved then f := eval_and_grad x g
+        let f_old = accept ls in
+        if restarted then
+          for i = 0 to p.n - 1 do
+            d.(i) <- -.g.(i)
+          done
         else begin
-          f := ls.Linesearch.f_new;
-          p.grad x g
+          (* Polak–Ribière+ beta. *)
+          let gg_prev = Vec.dot g_prev g_prev in
+          let beta =
+            if gg_prev <= 0.0 then 0.0
+            else begin
+              let num = ref 0.0 in
+              for i = 0 to p.n - 1 do
+                num := !num +. (g.(i) *. (g.(i) -. g_prev.(i)))
+              done;
+              max 0.0 (!num /. gg_prev)
+            end
+          in
+          for i = 0 to p.n - 1 do
+            d.(i) <- -.g.(i) +. (beta *. d.(i))
+          done
         end;
-        (* Polak–Ribière+ beta. *)
-        let gg_prev = Vec.dot g_prev g_prev in
-        let beta =
-          if gg_prev <= 0.0 then 0.0
-          else begin
-            let num = ref 0.0 in
-            for i = 0 to p.n - 1 do
-              num := !num +. (g.(i) *. (g.(i) -. g_prev.(i)))
-            done;
-            max 0.0 (!num /. gg_prev)
-          end
-        in
-        for i = 0 to p.n - 1 do
-          d.(i) <- -.g.(i) +. (beta *. d.(i))
-        done;
-        step_hint := max 1e-12 (2.0 *. ls.Linesearch.step);
         gnorm := Vec.nrm_inf g;
         incr iter;
         if !gnorm <= options.grad_tol then converged := true

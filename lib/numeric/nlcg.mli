@@ -4,13 +4,13 @@
 
 type problem = {
   n : int;  (** number of variables *)
-  eval : float array -> float;  (** objective value *)
-  grad : float array -> float array -> unit;  (** [grad x g] fills [g] *)
-  eval_grad : (float array -> float array -> float) option;
-      (** optional fused pass: [eval_grad x g] fills [g] and returns the
-          objective value in one sweep over the problem's kernels.  The
-          value MUST be bit-identical to [eval x] — the optimizer
-          substitutes one for the other freely. *)
+  eval : float array -> float;  (** objective value (the line search's probe) *)
+  eval_grad : float array -> float array -> float;
+      (** [eval_grad x g] fills [g] with the gradient at [x] and returns
+          the objective value from the same sweep over the problem's
+          kernels.  The value must be bit-identical to [eval x]: the
+          optimizer takes the line search's value instead whenever the
+          accepted point was not moved by the projection. *)
 }
 
 type options = {
@@ -32,7 +32,7 @@ type result = {
   iterations : int;
   grad_norm : float;
   converged : bool;  (** a tolerance fired (as opposed to hitting max_iter or stalling) *)
-  f_evals : int;
+  f_evals : int;  (** calls of [eval] and [eval_grad] *)
 }
 
 val minimize : ?arena:Dpp_util.Arena.t -> ?options:options -> problem -> float array -> result

@@ -219,18 +219,6 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
         rt_cells;
       !acc
   in
-  let congest_grad ~cx ~cy ~gx ~gy =
-    match !rt_field with
-    | None -> ()
-    | Some (r, p) ->
-      Array.iter
-        (fun i ->
-          let a = soa.Soa.width.(i) *. soa.Soa.height.(i) in
-          let _, dx, dy = congest_sample r p cx.(i) cy.(i) in
-          gx.(i) <- gx.(i) +. (a *. dx);
-          gy.(i) <- gy.(i) +. (a *. dy))
-        rt_cells
-  in
   (* fused congestion value+gradient: same cell order and value expression
      as [congest_value], so the value is bit-identical to it *)
   let congest_value_grad ~cx ~cy ~gx ~gy =
@@ -334,7 +322,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
      value its value-only twin computes (identical accumulation order), so
      the objective comes out of the gradient pass for free — the combining
      expression mirrors [eval] exactly for bit-identity. *)
-  let fill_gradients_value () =
+  let fill_gradients () =
     Array.fill gx 0 nc 0.0;
     Array.fill gy 0 nc 0.0;
     let w = model_value_grad ~gamma:!gamma ~cx:wx ~cy:wy ~gx ~gy in
@@ -358,15 +346,9 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
     in
     w +. (!lambda *. dv) +. (!beta *. av) +. (!mu *. cv)
   in
-  let fill_gradients () = ignore (fill_gradients_value ()) in
-  let grad v g =
-    scatter v;
-    fill_gradients ();
-    gather g
-  in
   let eval_grad v g =
     scatter v;
-    let f = fill_gradients_value () in
+    let f = fill_gradients () in
     gather g;
     f
   in
@@ -400,7 +382,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
     let a_norm = grad_l1 gxa +. grad_l1 gya in
     beta := if a_norm > 0.0 then cfg.beta *. wl_grad_norm /. a_norm else 0.0
   end;
-  let problem = { Nlcg.n = 2 * nvar; eval; grad; eval_grad = Some eval_grad } in
+  let problem = { Nlcg.n = 2 * nvar; eval; eval_grad } in
   let v = ref v0 in
   let trace = ref [] in
   let stop = ref false in
@@ -494,7 +476,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
     ignore (model_value_grad ~gamma:!gamma ~cx:wx ~cy:wy ~gx ~gy);
     Array.fill gxc 0 nc 0.0;
     Array.fill gyc 0 nc 0.0;
-    congest_grad ~cx:wx ~cy:wy ~gx:gxc ~gy:gyc;
+    ignore (congest_value_grad ~cx:wx ~cy:wy ~gx:gxc ~gy:gyc);
     let c_norm = grad_l1 gxc +. grad_l1 gyc in
     mu := (if c_norm > 0.0 then 0.5 *. (grad_l1 gx +. grad_l1 gy) /. c_norm else 0.0);
     let inflated =

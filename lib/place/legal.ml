@@ -52,6 +52,109 @@ let row_segments (d : Design.t) obstacles r =
 
 let row_segments_for_test = row_segments
 
+(* ----- Abacus row packing -----
+
+   Abacus (Spindler-Schlichtmann-Johannes) re-places each row's cells at
+   the minimum total squared displacement from their global-placement
+   targets, by the classical cluster-merging dynamic program, run
+   independently per free segment; every cell is then snapped to the
+   site grid.  One cluster: [e] total weight, [w] total width, [q] the
+   weighted sum of (target - offset) terms, [x] the placed left edge,
+   [cells] in order. *)
+type cluster = {
+  mutable e : float;
+  mutable q : float;
+  mutable w : float;
+  mutable x : float;
+  mutable cells : int list;  (** reversed *)
+}
+
+let place_cluster ~lo ~hi c =
+  let x = c.q /. c.e in
+  c.x <- max lo (min (hi -. c.w) x)
+
+(* Pack every assigned cell into its row's free segment ([segments], the
+   unclipped spans the row assignment was carved from), moving [cx] in
+   place; [target_cx] holds the global-placement centers. *)
+let pack (d : Design.t) (s : Soa.t) ~segments ~assignment ~target_cx ~cx =
+  let nrows = Array.length segments in
+  let per_row = Array.make nrows [] in
+  for i = Array.length assignment - 1 downto 0 do
+    let r = assignment.(i) in
+    if r >= 0 then per_row.(r) <- i :: per_row.(r)
+  done;
+  let site = d.Design.site_width in
+  let origin = d.Design.die.Rect.xl in
+  let align_up v = origin +. (ceil (((v -. origin) /. site) -. 1e-9) *. site) in
+  let align_round v = origin +. (Float.round ((v -. origin) /. site) *. site) in
+  for r = 0 to nrows - 1 do
+    (* each segment takes the row's cells whose legalized outline lies in
+       it (decided before any segment moves a cell), ordered by GP target
+       left edge *)
+    let by_segment =
+      if per_row.(r) = [] then []
+      else
+        List.map
+          (fun (lo, hi) ->
+            ( lo,
+              hi,
+              List.filter_map
+                (fun i ->
+                  let w = s.Soa.width.(i) in
+                  let xl = cx.(i) -. (w /. 2.0) in
+                  if xl >= lo -. 1e-6 && xl +. w <= hi +. 1e-6 then
+                    Some (target_cx.(i) -. (w /. 2.0), w, i)
+                  else None)
+                per_row.(r)
+              |> List.sort compare ))
+          segments.(r)
+    in
+    List.iter
+      (fun (lo, hi, ordered) ->
+        let stack = ref [] in
+        List.iter
+          (fun (xl_target, w, i) ->
+            let c = { e = 1.0; q = xl_target; w; x = 0.0; cells = [ i ] } in
+            place_cluster ~lo ~hi c;
+            let rec collapse c =
+              match !stack with
+              | prev :: rest when prev.x +. prev.w > c.x +. 1e-9 ->
+                (* merge c into prev *)
+                prev.q <- prev.q +. c.q -. (c.e *. prev.w);
+                prev.e <- prev.e +. c.e;
+                prev.w <- prev.w +. c.w;
+                prev.cells <- c.cells @ prev.cells;
+                stack := rest;
+                place_cluster ~lo ~hi prev;
+                collapse prev
+              | _ -> stack := c :: !stack
+            in
+            collapse c)
+          ordered;
+        (* emit positions, snapped to the site grid with a left-to-right
+           aligned cursor so no overlap can reappear; cell widths are
+           site multiples so alignment is preserved along the row *)
+        let cursor = ref (align_up lo) in
+        List.iter
+          (fun cluster ->
+            let start = max !cursor (align_round cluster.x) in
+            (* pull back (aligned) if the cluster would stick out *)
+            let start =
+              if start +. cluster.w > hi +. 1e-9 then
+                max !cursor (align_round (hi -. cluster.w) -. site)
+              else start
+            in
+            cursor := start;
+            List.iter
+              (fun i ->
+                let w = s.Soa.width.(i) in
+                cx.(i) <- !cursor +. (w /. 2.0);
+                cursor := !cursor +. w)
+              (List.rev cluster.cells))
+          (List.rev !stack))
+      by_segment
+  done
+
 (* Greedy free-interval legalization, parallel over row chunks.
 
    Rows are split into the pool's fixed 16 chunks; each chunk owns its
@@ -186,12 +289,13 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?(extra_obstacles = [])
         buckets.(chunk_of_row.(tr)) <- (target_xl, tr, i) :: buckets.(chunk_of_row.(tr)))
       todo;
     Array.iteri (fun c b -> buckets.(c) <- List.rev b) buckets;
+    (* each row's free segments, unclipped: the packing step reuses them *)
+    let segments = Array.make nrows [] in
     let spills = Array.make Pool.chunk_count [] in
     Pool.iter_chunks pool ~n:nrows (fun ~worker:_ ~chunk ~lo ~hi ->
         for r = lo to hi - 1 do
-          Intervals.reset stores.(r)
-            (if r < row_lo || r >= row_hi then []
-             else clip_segments (row_segments d obstacles r))
+          if r >= row_lo && r < row_hi then segments.(r) <- row_segments d obstacles r;
+          Intervals.reset stores.(r) (clip_segments segments.(r))
         done;
         let spill = ref [] in
         List.iter
@@ -226,5 +330,6 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?(extra_obstacles = [])
             failed := i :: !failed)
         spills.(c)
     done;
+    pack d s ~segments ~assignment ~target_cx:cx ~cx:out_cx;
     { assignment; cx = out_cx; cy = out_cy; failed = List.rev !failed }
   end

@@ -1,6 +1,6 @@
-(** Tetris legalization: row assignment with left-to-right packing around
-    fixed obstacles (and, in the structure-aware flow, around snapped
-    datapath groups).
+(** Legalization in one call: Tetris row assignment around fixed
+    obstacles (and, in the structure-aware flow, around snapped datapath
+    groups), then Abacus row packing.
 
     Cells are processed in ascending target-x order; each is offered a
     set of rows' free intervals ({!Intervals} stores, O(log n) best-gap
@@ -10,8 +10,14 @@
     legalized chunk-locally in parallel; a cell whose best local slot
     could be beaten or tied by a row outside its chunk is spilled to a
     serial ascending-chunk merge pass that searches every row, so the
-    assignment is bit-identical at every worker count.  Site-grid
-    snapping is applied by {!Abacus} afterwards. *)
+    assignment is bit-identical at every worker count.
+
+    The last step is Abacus (Spindler–Schlichtmann–Johannes): within each
+    free segment of each row, the assigned cells are re-placed at the
+    minimum total squared displacement from their targets by cluster
+    merging, then snapped to the site grid.  It runs serially over the
+    free segments the row assignment computed, so obstacles are collected
+    once per call. *)
 
 type t = {
   assignment : int array;  (** cell -> row index (-1 for skipped/fixed cells) *)
@@ -33,21 +39,22 @@ val run :
   unit ->
   t
 (** [skip] marks cells to leave untouched (snapped group members).  Input
-    arrays are not modified.  [pool] (default {!Dpp_par.Pool.serial})
-    fans the chunk-local phase out over worker domains; the result does
-    not depend on the worker count.  [soa] is the flat view of the
-    design the sort keys and interval widths are read from.  [arena]
-    recycles the per-row
-    free-interval stores across runs (every store is reset before use,
-    so the result is bit-identical with or without one).
+    arrays are not modified; [cx] is also the packing's target.  [pool]
+    (default {!Dpp_par.Pool.serial}) fans the chunk-local row assignment
+    out over worker domains; the result does not depend on the worker
+    count.  [soa] is the flat view of the design the sort keys and cell
+    widths are read from.  [arena] recycles the per-row free-interval
+    stores across runs (every store is reset before use, so the result
+    is bit-identical with or without one).
 
     [bound] is the region-bounded mode behind incremental ECO
     re-placement: only rows overlapping the rectangle get free intervals
     and those are clipped to its x-span, so every non-skipped cell is
-    legalized {e inside} the bound (pass the frozen cells' rectangles as
-    [extra_obstacles] to keep them from being overlapped).  The bounded
-    run keeps the worker-count determinism contract. *)
+    assigned {e inside} the bound (pass the frozen cells' rectangles as
+    [extra_obstacles] to keep them from being overlapped).  Packing works
+    on the unclipped segments of the bound's rows.  The bounded run keeps
+    the worker-count determinism contract. *)
 
 val row_segments_for_test : Dpp_netlist.Design.t -> Dpp_geom.Rect.t list -> int -> (float * float) list
-(** The free x-spans of a row given obstacle rectangles — shared with
-    {!Abacus} and the tests. *)
+(** The free x-spans of a row given obstacle rectangles, as the row
+    assignment and the packing see them. *)

@@ -282,8 +282,5 @@ let decode_payload of_json payload =
 let send_request fd r = write_frame fd (Json.encode (request_to_json r))
 let send_response fd r = write_frame fd (Json.encode (response_to_json r))
 
-let recv_request ?max_len fd =
-  Option.map (decode_payload request_of_json) (read_frame ?max_len fd)
-
 let recv_response ?max_len fd =
   Option.map (decode_payload response_of_json) (read_frame ?max_len fd)

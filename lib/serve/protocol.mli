@@ -113,7 +113,6 @@ val response_of_json : Dpp_report.Json.t -> response
 val send_request : Unix.file_descr -> request -> unit
 val send_response : Unix.file_descr -> response -> unit
 
-val recv_request : ?max_len:int -> Unix.file_descr -> request option
 val recv_response : ?max_len:int -> Unix.file_descr -> response option
 (** Frame read + JSON parse + decode; [None] on clean EOF.
     @raise Protocol_error on any framing or message-shape violation. *)

@@ -179,14 +179,14 @@ let run_submit t ~id ~(spec : P.job_spec) ~reply_fn ?resume_from () =
         let stages =
           instrument t ~spec ~path (Flow.resume_stages ~stages:(flow_stages t cfg) ~after:snap.Snapshot.stage)
         in
-        Flow.run_stages
-          ~prepare:(fun ctx -> Snapshot.restore snap ctx)
-          ~observer ~check:spec.P.check ~stages design cfg
+        let ctx = Flow.context design cfg in
+        Snapshot.restore snap ctx;
+        Flow.run_ctx ~observer ~check:spec.P.check ~stages ctx
       | _ ->
         (* no snapshot (or one from a non-resumable boundary): the flow is
            deterministic, a clean re-run reproduces the same bits *)
         let stages = instrument t ~spec ~path (flow_stages t cfg) in
-        Flow.run_stages ~observer ~check:spec.P.check ~stages design cfg
+        Flow.run_ctx ~observer ~check:spec.P.check ~stages (Flow.context design cfg)
     in
     Cache.add t.bases (spec_key spec) (Eco.base_of_result result);
     finish_ok t ~out:spec.P.out result.Flow.design;
@@ -235,8 +235,8 @@ let run_eco t ~id ~(base_spec : P.job_spec) ~edits ~threshold ~verify ~reply_fn 
       | None ->
         (* cold base: place it now and remember it for the next delta *)
         let r =
-          Flow.run_stages ~check:base_spec.P.check ~stages:(flow_stages t cfg)
-            (resolve_design base_spec.P.src) cfg
+          Flow.run_ctx ~check:base_spec.P.check ~stages:(flow_stages t cfg)
+            (Flow.context (resolve_design base_spec.P.src) cfg)
         in
         let b = Eco.base_of_result r in
         Cache.add t.bases key b;

@@ -9,7 +9,6 @@ module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
 module Model = Dpp_wirelen.Model
 module Legal = Dpp_place.Legal
-module Abacus = Dpp_place.Abacus
 module Config = Dpp_core.Config
 module Ctx = Dpp_core.Ctx
 module Flow = Dpp_core.Flow
@@ -97,7 +96,6 @@ let test_legalizer_idempotent () =
   let legal = Legal.run d ~soa:(Dpp_netlist.Soa.of_design d) ~cx ~cy () in
   Alcotest.(check (list string)) "no cell failed to fit" []
     (List.map string_of_int legal.Legal.failed);
-  Abacus.run d ~target_cx:cx ~legal ();
   let drift = ref 0.0 in
   Array.iter
     (fun i ->
@@ -209,7 +207,7 @@ let test_mutation_caught_and_attributed () =
     Flow.stages baseline_cfg
     |> List.concat_map (fun s -> if s.Flow.name = "detail" then [ s; corrupt ] else [ s ])
   in
-  match Flow.run_stages ~check:true ~stages d baseline_cfg with
+  match Flow.run_ctx ~check:true ~stages (Flow.context d baseline_cfg) with
   | _ -> Alcotest.fail "corruption went undetected"
   | exception Flow.Check_failed { stage; violations } ->
     Alcotest.(check string) "attributed to the injected stage" "corrupt" stage;
@@ -234,7 +232,7 @@ let test_mutation_uncached_still_caught () =
     Flow.stages baseline_cfg
     |> List.concat_map (fun s -> if s.Flow.name = "flip" then [ s; corrupt ] else [ s ])
   in
-  match Flow.run_stages ~check:true ~stages d baseline_cfg with
+  match Flow.run_ctx ~check:true ~stages (Flow.context d baseline_cfg) with
   | _ -> Alcotest.fail "corruption went undetected"
   | exception Flow.Check_failed { stage; _ } ->
     Alcotest.(check string) "attributed to the injected stage" "corrupt" stage

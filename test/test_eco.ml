@@ -412,7 +412,8 @@ let test_edit_json_codec () =
 let test_plan_bounds_dirty_set () =
   let base = tiny () in
   let edits = seeded_edits base 42 in
-  let p = Eco.plan base edits in
+  let a = Eco.apply base edits in
+  let p = Eco.plan (Flow.context a.Eco.edited base_cfg) a in
   Alcotest.(check bool) "some dirty" true (Array.length p.Eco.dirty > 0);
   Alcotest.(check bool) "not everything dirty" true (p.Eco.dirty_fraction < 1.0);
   Alcotest.(check bool) "region inside die" true
@@ -450,6 +451,22 @@ let test_fallback_above_threshold () =
   let r = check_differential ~threshold:0.0 base (seeded_edits base.Eco.design 3) in
   Alcotest.(check bool) "fell back" true r.Eco.fallback
 
+(* The fallback runs the full stage list on the op's own context: its
+   result is the one a from-scratch flow gives on the edited design. *)
+let test_fallback_matches_flow () =
+  let base = Lazy.force tiny_base in
+  let edits = seeded_edits base.Eco.design 3 in
+  let r = Eco.run ~threshold:0.0 ~base edits base_cfg in
+  Alcotest.(check bool) "fell back" true r.Eco.fallback;
+  let full = Flow.run (Eco.apply base.Eco.design edits).Eco.edited base_cfg in
+  let e = r.Eco.flow.Flow.design and f = full.Flow.design in
+  Alcotest.(check bool) "x" true (Array.for_all2 Float.equal e.Design.x f.Design.x);
+  Alcotest.(check bool) "y" true (Array.for_all2 Float.equal e.Design.y f.Design.y);
+  Alcotest.(check bool) "orient" true (Array.for_all2 Orient.equal e.Design.orient f.Design.orient);
+  Alcotest.(check bool) "hpwl_final" true (Float.equal r.Eco.flow.Flow.hpwl_final full.Flow.hpwl_final);
+  Alcotest.(check bool) "steiner_final" true
+    (Float.equal r.Eco.flow.Flow.steiner_final full.Flow.steiner_final)
+
 let test_eco_deterministic () =
   let base = Lazy.force tiny_base in
   let edits = seeded_edits base.Eco.design 5 in
@@ -473,5 +490,6 @@ let suite =
     Alcotest.test_case "differential dp_mix_l" `Slow test_differential_dp_mix_l;
     Alcotest.test_case "differential xl10k" `Slow test_differential_xl10k;
     Alcotest.test_case "fallback above threshold" `Quick test_fallback_above_threshold;
+    Alcotest.test_case "fallback matches the full flow" `Quick test_fallback_matches_flow;
     Alcotest.test_case "eco deterministic" `Quick test_eco_deterministic;
   ]

@@ -34,7 +34,9 @@ let test_flow_baseline_legal () =
   let d = flow_design () in
   let r = Flow.run d { small_cfg with Config.mode = Config.Baseline } in
   Alcotest.(check (list string)) "no violations" [] (List.map (fun _ -> "v") (audit r));
-  Alcotest.(check bool) "final <= legal hpwl" true (r.Flow.hpwl_final <= r.Flow.hpwl_legal +. 1e-6);
+  let legal = List.find (fun s -> s.Trace.name = "legal") r.Flow.stage_trace in
+  Alcotest.(check bool) "final <= legal hpwl" true
+    (r.Flow.hpwl_final <= legal.Trace.hpwl_after +. 1e-6);
   Alcotest.(check bool) "positive metrics" true
     (r.Flow.hpwl_final > 0.0 && r.Flow.steiner_final > 0.0);
   Alcotest.(check bool) "steiner >= hpwl" true (r.Flow.steiner_final >= r.Flow.hpwl_final -. 1e-6);

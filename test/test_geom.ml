@@ -1,7 +1,6 @@
-(* Tests for Dpp_geom: Point, Interval, Rect, Orient. *)
+(* Tests for Dpp_geom: Point, Rect, Orient. *)
 
 module Point = Dpp_geom.Point
-module Interval = Dpp_geom.Interval
 module Rect = Dpp_geom.Rect
 module Orient = Dpp_geom.Orient
 
@@ -31,32 +30,6 @@ let test_point_ops () =
 let test_point_scale () =
   let p = Point.scale 2.0 (Point.make 1.5 (-3.0)) in
   Alcotest.(check bool) "scaled" true (Point.equal p (Point.make 3.0 (-6.0)))
-
-(* ---------------- Interval ---------------- *)
-
-let test_interval_basic () =
-  let i = Interval.make 5.0 1.0 in
-  check_float "normalised lo" 1.0 i.Interval.lo;
-  check_float "length" 4.0 (Interval.length i);
-  Alcotest.(check bool) "contains" true (Interval.contains i 3.0);
-  Alcotest.(check bool) "not contains" false (Interval.contains i 7.0);
-  check_float "clamp below" 1.0 (Interval.clamp i 0.0);
-  check_float "clamp above" 5.0 (Interval.clamp i 9.0);
-  check_float "clamp inside" 2.0 (Interval.clamp i 2.0)
-
-let test_interval_overlap () =
-  let a = Interval.make 0.0 2.0 and b = Interval.make 1.0 3.0 and c = Interval.make 2.0 4.0 in
-  Alcotest.(check bool) "overlap" true (Interval.overlaps a b);
-  Alcotest.(check bool) "touching does not overlap" false (Interval.overlaps a c);
-  check_float "overlap length" 1.0 (Interval.overlap_length a b);
-  check_float "disjoint overlap" 0.0 (Interval.overlap_length a (Interval.make 5.0 6.0));
-  (match Interval.intersection a b with
-  | Some i ->
-    check_float "inter lo" 1.0 i.Interval.lo;
-    check_float "inter hi" 2.0 i.Interval.hi
-  | None -> Alcotest.fail "expected intersection");
-  let h = Interval.hull a c in
-  check_float "hull" 4.0 (Interval.length h)
 
 (* ---------------- Rect ---------------- *)
 
@@ -181,8 +154,6 @@ let suite =
   [
     Alcotest.test_case "point ops" `Quick test_point_ops;
     Alcotest.test_case "point scale" `Quick test_point_scale;
-    Alcotest.test_case "interval basic" `Quick test_interval_basic;
-    Alcotest.test_case "interval overlap" `Quick test_interval_overlap;
     Alcotest.test_case "rect basic" `Quick test_rect_basic;
     Alcotest.test_case "rect normalise" `Quick test_rect_normalise;
     Alcotest.test_case "rect overlap known" `Quick test_rect_overlap_known;

@@ -184,17 +184,24 @@ let test_armijo_failure () =
 
 (* ---------------- Nlcg ---------------- *)
 
+(* the fused entry point from a value and a gradient-only function *)
+let problem n eval grad =
+  {
+    Nlcg.n;
+    eval;
+    eval_grad =
+      (fun v g ->
+        grad v g;
+        eval v);
+  }
+
 let test_nlcg_quadratic_bowl () =
   let p =
-    {
-      Nlcg.n = 2;
-      eval = (fun v -> ((v.(0) -. 3.0) ** 2.0) +. (10.0 *. ((v.(1) +. 1.0) ** 2.0)));
-      grad =
-        (fun v g ->
-          g.(0) <- 2.0 *. (v.(0) -. 3.0);
-          g.(1) <- 20.0 *. (v.(1) +. 1.0));
-      eval_grad = None;
-    }
+    problem 2
+      (fun v -> ((v.(0) -. 3.0) ** 2.0) +. (10.0 *. ((v.(1) +. 1.0) ** 2.0)))
+      (fun v g ->
+        g.(0) <- 2.0 *. (v.(0) -. 3.0);
+        g.(1) <- 20.0 *. (v.(1) +. 1.0))
   in
   let r = Nlcg.minimize p [| 0.0; 0.0 |] in
   check_close 1e-3 "x0" 3.0 r.Nlcg.x.(0);
@@ -203,19 +210,14 @@ let test_nlcg_quadratic_bowl () =
 
 let test_nlcg_rosenbrock () =
   let p =
-    {
-      Nlcg.n = 2;
-      eval =
-        (fun v ->
-          let a = 1.0 -. v.(0) and b = v.(1) -. (v.(0) *. v.(0)) in
-          (a *. a) +. (100.0 *. b *. b));
-      grad =
-        (fun v g ->
-          let b = v.(1) -. (v.(0) *. v.(0)) in
-          g.(0) <- (-2.0 *. (1.0 -. v.(0))) -. (400.0 *. v.(0) *. b);
-          g.(1) <- 200.0 *. b);
-      eval_grad = None;
-    }
+    problem 2
+      (fun v ->
+        let a = 1.0 -. v.(0) and b = v.(1) -. (v.(0) *. v.(0)) in
+        (a *. a) +. (100.0 *. b *. b))
+      (fun v g ->
+        let b = v.(1) -. (v.(0) *. v.(0)) in
+        g.(0) <- (-2.0 *. (1.0 -. v.(0))) -. (400.0 *. v.(0) *. b);
+        g.(1) <- 200.0 *. b)
   in
   let options = { Nlcg.default_options with Nlcg.max_iter = 5000; f_tol = 0.0; grad_tol = 1e-7 } in
   let r = Nlcg.minimize ~options p [| -1.2; 1.0 |] in
@@ -224,14 +226,7 @@ let test_nlcg_rosenbrock () =
 
 let test_nlcg_projection () =
   (* minimise (x-5)^2 constrained to x <= 2 by projection *)
-  let p =
-    {
-      Nlcg.n = 1;
-      eval = (fun v -> (v.(0) -. 5.0) ** 2.0);
-      grad = (fun v g -> g.(0) <- 2.0 *. (v.(0) -. 5.0));
-      eval_grad = None;
-    }
-  in
+  let p = problem 1 (fun v -> (v.(0) -. 5.0) ** 2.0) (fun v g -> g.(0) <- 2.0 *. (v.(0) -. 5.0)) in
   let project v = if v.(0) > 2.0 then v.(0) <- 2.0 in
   let options = { Nlcg.default_options with Nlcg.project = Some project } in
   let r = Nlcg.minimize ~options p [| 0.0 |] in
@@ -243,12 +238,7 @@ let test_nlcg_monotone =
     QCheck.(pair (float_range 0.5 10.0) (float_range (-5.0) 5.0))
     (fun (a, c) ->
       let p =
-        {
-          Nlcg.n = 1;
-          eval = (fun v -> a *. ((v.(0) -. c) ** 2.0));
-          grad = (fun v g -> g.(0) <- 2.0 *. a *. (v.(0) -. c));
-          eval_grad = None;
-        }
+        problem 1 (fun v -> a *. ((v.(0) -. c) ** 2.0)) (fun v g -> g.(0) <- 2.0 *. a *. (v.(0) -. c))
       in
       let f0 = p.Nlcg.eval [| 100.0 |] in
       let options = { Nlcg.default_options with Nlcg.max_iter = 500; f_tol = 0.0 } in

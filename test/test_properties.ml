@@ -1,7 +1,6 @@
 (* Cross-module property tests that need several libraries together. *)
 
 module Rect = Dpp_geom.Rect
-module Interval = Dpp_geom.Interval
 module Types = Dpp_netlist.Types
 module Design = Dpp_netlist.Design
 module Pins = Dpp_wirelen.Pins
@@ -16,13 +15,6 @@ let prop_rng_float_in =
       let r = Rng.create seed in
       let v = Rng.float_in r lo (lo +. span) in
       v >= lo && v < lo +. span)
-
-let prop_interval_shift =
-  QCheck.Test.make ~name:"interval shift preserves length" ~count:200
-    QCheck.(triple (float_range (-100.0) 100.0) (float_range 0.0 50.0) (float_range (-30.0) 30.0))
-    (fun (lo, len, delta) ->
-      let i = Interval.make lo (lo +. len) in
-      abs_float (Interval.length (Interval.shift i delta) -. Interval.length i) < 1e-9)
 
 let prop_csr_transpose_involution =
   let gen =
@@ -133,7 +125,6 @@ let prop_steiner_between_bounds =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_rng_float_in;
-    QCheck_alcotest.to_alcotest prop_interval_shift;
     QCheck_alcotest.to_alcotest prop_csr_transpose_involution;
     QCheck_alcotest.to_alcotest prop_hpwl_nonnegative_and_scaling;
     QCheck_alcotest.to_alcotest prop_legality_catches_overlap;

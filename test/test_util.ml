@@ -1,8 +1,7 @@
-(* Tests for Dpp_util: Rng, Union_find, Heap, Statx, Dyn, Csvout. *)
+(* Tests for Dpp_util: Rng, Union_find, Statx, Dyn, Csvout. *)
 
 module Rng = Dpp_util.Rng
 module Union_find = Dpp_util.Union_find
-module Heap = Dpp_util.Heap
 module Statx = Dpp_util.Statx
 module Dyn = Dpp_util.Dyn
 module Csvout = Dpp_util.Csvout
@@ -133,35 +132,6 @@ let test_uf_transitivity =
         (fun (a, b) -> Union_find.same u a b = (Union_find.find u a = Union_find.find u b))
         pairs)
 
-(* ---------------- Heap ---------------- *)
-
-let test_heap_ordering () =
-  let h = Heap.of_list [ (3.0, "c"); (1.0, "a"); (2.0, "b") ] in
-  Alcotest.(check (list string)) "sorted drain" [ "a"; "b"; "c" ]
-    (List.map snd (Heap.to_sorted_list h))
-
-let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.check_raises "pop_exn raises" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-let test_heap_peek () =
-  let h = Heap.create () in
-  Heap.push h 5.0 'x';
-  Heap.push h 1.0 'y';
-  Alcotest.(check bool) "peek min" true (Heap.peek h = Some (1.0, 'y'));
-  Alcotest.(check int) "length" 2 (Heap.length h)
-
-let test_heap_sorted =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.0))
-    (fun l ->
-      let h = Heap.of_list (List.map (fun p -> p, ()) l) in
-      let drained = List.map fst (Heap.to_sorted_list h) in
-      drained = List.sort Float.compare l)
-
 (* ---------------- Statx ---------------- *)
 
 let test_statx_known () =
@@ -262,10 +232,6 @@ let suite =
     Alcotest.test_case "union-find idempotent" `Quick test_uf_idempotent_union;
     Alcotest.test_case "union-find groups" `Quick test_uf_groups;
     QCheck_alcotest.to_alcotest test_uf_transitivity;
-    Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap empty" `Quick test_heap_empty;
-    Alcotest.test_case "heap peek" `Quick test_heap_peek;
-    QCheck_alcotest.to_alcotest test_heap_sorted;
     Alcotest.test_case "statx known values" `Quick test_statx_known;
     Alcotest.test_case "statx geomean" `Quick test_statx_geomean;
     Alcotest.test_case "statx empty" `Quick test_statx_empty;
