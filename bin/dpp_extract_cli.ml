@@ -12,8 +12,8 @@ let run preset bookshelf min_slices max_degree verbose =
   let design =
     match preset, bookshelf with
     | Some name, None -> (
-      match Dpp_gen.Presets.by_name name with
-      | Some spec -> Ok (Dpp_gen.Compose.build spec)
+      match Dpp_gen.Catalog.design name with
+      | Some d -> Ok d
       | None -> Error (Printf.sprintf "unknown preset %S" name))
     | None, Some base -> (
       try Ok (Dpp_netlist.Bookshelf.read ~basename:base)

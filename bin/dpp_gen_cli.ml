@@ -23,8 +23,7 @@ let emit d ~extra out =
 
 let run preset cells dp_fraction seed peko out list_presets =
   if list_presets then begin
-    List.iter print_endline Dpp_gen.Presets.names;
-    List.iter print_endline Dpp_gen.Xl.preset_names;
+    List.iter print_endline Dpp_gen.Catalog.names;
     0
   end
   else if peko then begin
@@ -34,28 +33,24 @@ let run preset cells dp_fraction seed peko out list_presets =
         Printf.printf "PEKO optimal HPWL : %.1f\n" opt)
   end
   else begin
-    match preset with
-    | Some name when Dpp_gen.Xl.preset_cells name <> None ->
-      let d = Option.get (Dpp_gen.Xl.by_name ~seed name) in
-      emit d out ~extra:(fun () -> ())
-    | _ -> (
-      let spec =
-        match preset with
-        | Some name -> (
-          match Dpp_gen.Presets.by_name name with
-          | Some s -> Ok s
-          | None -> Error (Printf.sprintf "unknown preset %S" name))
-        | None -> (
-          try Ok (Dpp_gen.Presets.scaled ~name:"custom" ~seed ~cells ~dp_fraction)
-          with Invalid_argument msg -> Error msg)
-      in
-      match spec with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-      | Ok spec ->
-        let d = Dpp_gen.Compose.build spec in
-        emit d out ~extra:(fun () -> ()))
+    let design =
+      match preset with
+      | Some name -> (
+        (* --seed re-seeds the XL family; the other presets keep their own seeds *)
+        let seed = if List.mem name Dpp_gen.Xl.preset_names then Some seed else None in
+        match Dpp_gen.Catalog.design ?seed name with
+        | Some d -> Ok d
+        | None -> Error (Printf.sprintf "unknown preset %S" name))
+      | None -> (
+        match Dpp_gen.Presets.scaled ~name:"custom" ~seed ~cells ~dp_fraction with
+        | spec -> Ok (Dpp_gen.Compose.build spec)
+        | exception Invalid_argument msg -> Error msg)
+    in
+    match design with
+    | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
+    | Ok d -> emit d out ~extra:(fun () -> ())
   end
 
 let cmd =
@@ -64,7 +59,7 @@ let cmd =
       value
       & opt (some string) None
       & info [ "preset" ] ~docv:"NAME"
-          ~doc:"Built-in benchmark to generate (dp_* suite or xl10k..xl1m).")
+          ~doc:"Built-in benchmark to generate (dp_* suite, xl10k..xl1m or rt_channel; --list names them).")
   in
   let cells = Arg.(value & opt int 2000 & info [ "cells" ] ~doc:"Target movable cell count (custom design or --peko).") in
   let dp_fraction =

@@ -13,20 +13,12 @@ let setup_logs verbose =
 let load ~preset ~bookshelf =
   match preset, bookshelf with
   | Some name, None -> (
-    match Dpp_gen.Presets.by_name name with
-    | Some spec -> Ok (Dpp_gen.Compose.build spec)
-    | None -> (
-      match Dpp_gen.Xl.by_name name with
-      | Some d -> Ok d
-      | None -> (
-        match Dpp_gen.Channel.by_name name with
-        | Some d -> Ok d
-        | None ->
-          Error
-            (Printf.sprintf "unknown preset %S (available: %s)" name
-               (String.concat ", "
-                  (Dpp_gen.Presets.names @ Dpp_gen.Xl.preset_names
-                 @ [ Dpp_gen.Channel.name ]))))))
+    match Dpp_gen.Catalog.design name with
+    | Some d -> Ok d
+    | None ->
+      Error
+        (Printf.sprintf "unknown preset %S (available: %s)" name
+           (String.concat ", " Dpp_gen.Catalog.names)))
   | None, Some base -> (
     try Ok (Dpp_netlist.Bookshelf.read ~basename:base) with
     | Dpp_netlist.Bookshelf.Parse_error msg -> Error msg

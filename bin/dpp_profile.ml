@@ -8,7 +8,7 @@
 module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
-module Model = Dpp_wirelen.Model
+module Lse = Dpp_wirelen.Lse
 module Par_grad = Dpp_wirelen.Par_grad
 module Hpwl = Dpp_wirelen.Hpwl
 module Netbox = Dpp_wirelen.Netbox
@@ -75,19 +75,14 @@ let () =
     preset nc (Soa.num_nets soa) (Soa.num_pins soa) grid.Grid.nx grid.Grid.ny jobs reps;
   let samples =
     [
-      time_kernel ~reps "lse_value(serial)" (fun () ->
-          Model.value Model.Lse pins ~gamma ~cx ~cy);
+      time_kernel ~reps "lse_value(serial)" (fun () -> Lse.value pins ~gamma ~cx ~cy);
       time_kernel ~reps "lse_grad(serial)" (fun () ->
           zero2 ();
-          Model.value_grad Model.Lse pins ~gamma ~cx ~cy ~gx ~gy);
-      time_kernel ~reps "wa_grad(serial)" (fun () ->
-          zero2 ();
-          Model.value_grad Model.Wa pins ~gamma ~cx ~cy ~gx ~gy);
-      time_kernel ~reps "lse_value(pool)" (fun () ->
-          Par_grad.value par pool Model.Lse ~gamma ~cx ~cy);
+          Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy);
+      time_kernel ~reps "lse_value(pool)" (fun () -> Par_grad.value par pool ~gamma ~cx ~cy);
       time_kernel ~reps "lse_grad(pool)" (fun () ->
           zero2 ();
-          Par_grad.value_grad par pool Model.Lse ~gamma ~cx ~cy ~gx ~gy);
+          Par_grad.value_grad par pool ~gamma ~cx ~cy ~gx ~gy);
       time_kernel ~reps "bell_value(serial)" (fun () -> Bell.value bell ~cx ~cy);
       time_kernel ~reps "bell_grad(serial)" (fun () ->
           zero2 ();

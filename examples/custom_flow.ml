@@ -1,10 +1,9 @@
 (* Driving the placement engines directly.
 
    The Flow module is one policy over the engine pieces; this example
-   composes its own: weighted-average wirelength, soft alignment only
-   (no rigid macros, no snapping), a tighter overflow target, and a final
-   Bookshelf dump — the kind of experiment the library API is meant to
-   make easy.
+   composes its own: soft alignment only (no rigid macros, no snapping),
+   a tighter overflow target, and a final Bookshelf dump — the kind of
+   experiment the library API is meant to make easy.
 
      dune exec examples/custom_flow.exe                                    *)
 
@@ -40,7 +39,7 @@ let () =
   Format.printf "quadratic init: HPWL %.0f (PCG %d+%d iters)@."
     (Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy)
     qp.Dpp_place.Qp.iterations_x qp.Dpp_place.Qp.iterations_y;
-  (* 3. global placement: WA model + soft alignment, tight spread *)
+  (* 3. global placement: soft alignment, tight spread *)
   let dgroups =
     Dpp_structure.Dgroup.build_all_ordered d groups ~cx:qp.Dpp_place.Qp.cx
       ~cy:qp.Dpp_place.Qp.cy
@@ -48,8 +47,7 @@ let () =
   let gp_cfg =
     {
       Dpp_place.Gp.default_config with
-      Dpp_place.Gp.model = Dpp_wirelen.Model.Wa;
-      overflow_target = 0.08;
+      Dpp_place.Gp.overflow_target = 0.08;
       beta = 2.0;
       groups = dgroups;
     }

@@ -6,7 +6,7 @@ module Bookshelf = Dpp_netlist.Bookshelf
 module Groups = Dpp_netlist.Groups
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
-module Model = Dpp_wirelen.Model
+module Lse = Dpp_wirelen.Lse
 module Par_grad = Dpp_wirelen.Par_grad
 module Dgroup = Dpp_structure.Dgroup
 module Legality = Dpp_place.Legality
@@ -108,7 +108,7 @@ let netbox_sync ?pool ?tol ?(net_name = fun n -> Printf.sprintf "#%d" n) nb =
              msg
          | None -> Violation.v ~oracle:"netbox" ~subject:"total" "%s" msg)
 
-let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gamma d =
+let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~gamma d =
   let pins = Pins.build d in
   let cx, cy = Pins.centers_of_design d in
   let nc = Design.num_cells d in
@@ -116,8 +116,8 @@ let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gam
   (match pool with
   | Some pool ->
     let pg = Par_grad.create pool pins in
-    ignore (Par_grad.value_grad pg pool model ~gamma ~cx ~cy ~gx ~gy)
-  | None -> ignore (Model.value_grad model pins ~gamma ~cx ~cy ~gx ~gy));
+    ignore (Par_grad.value_grad pg pool ~gamma ~cx ~cy ~gx ~gy)
+  | None -> ignore (Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy));
   let movable = Design.movable_ids d in
   let rng = Rng.create seed in
   let n = min samples (Array.length movable) in
@@ -134,11 +134,6 @@ let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gam
      evaluation, and better conditioned (no cancellation against the
      unchanged rest of the design).  Samples are batched over the pool;
      each lands in its own slot and nothing shared is mutated. *)
-  let axis =
-    match model with
-    | Model.Lse -> Dpp_wirelen.Lse.axis_value_grad
-    | Model.Wa -> Dpp_wirelen.Wa.axis_value_grad
-  in
   let incident_nets i =
     let nets = ref [] in
     Array.iter
@@ -165,8 +160,8 @@ let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gam
           view.Pins.scratch_x.(idx) <- px +. view.Pins.off_x.(p);
           view.Pins.scratch_y.(idx) <- py +. view.Pins.off_y.(p)
         done;
-        let vx = axis view.Pins.scratch_x k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad:false in
-        let vy = axis view.Pins.scratch_y k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad:false in
+        let vx = Lse.axis_value_grad view.Pins.scratch_x k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad:false in
+        let vy = Lse.axis_value_grad view.Pins.scratch_y k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad:false in
         acc +. ((Design.net d nid).Types.n_weight *. (vx +. vy)))
       0.0 nets
   in
@@ -202,8 +197,8 @@ let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gam
       acc :=
         Violation.v ~oracle:"gradient"
           ~subject:(Printf.sprintf "cell %s" (cell_name d i))
-          "%s %s-gradient %.6g disagrees with finite difference %.6g (rel err %.3g)"
-          (Model.kind_to_string model) axis g.(i) numeric err
+          "lse %s-gradient %.6g disagrees with finite difference %.6g (rel err %.3g)" axis g.(i)
+          numeric err
         :: !acc
   in
   Array.iteri

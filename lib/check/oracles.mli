@@ -67,11 +67,10 @@ val gradient :
   ?eps:float ->
   ?tol:float ->
   seed:int ->
-  model:Dpp_wirelen.Model.kind ->
   gamma:float ->
   Dpp_netlist.Design.t ->
   Violation.t list
-(** The analytic gradient of the chosen smooth wirelength model matches a
+(** The analytic gradient of the LSE smooth wirelength matches a
     central finite difference on [samples] (default 12) randomly chosen
     movable coordinates (relative error below [tol], default 1e-3).
     Deterministic in [seed] — and in the pool size: samples land in

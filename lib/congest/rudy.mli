@@ -32,12 +32,10 @@ val compute :
   t
 (** Default grid: {!Dpp_density.Grid.default_dims}-like sizing (~4 cells
     per bin, clamped to 8..256 per side).  [pins] is the pin view of [d]
-    (the flow passes its shared one).  The supply is calibrated so the
-    design-wide average utilisation of routing area is meaningful across
-    designs: [supply = total demand / die area] would always average 1, so
-    instead the supply is [2 * sqrt(total cell area) / die area]-free:
-    we use the simple convention [supply = 1.0] wiring unit per unit area,
-    leaving interpretation to the ratio statistics below.
+    (the flow passes its shared one).  The supply is the fixed convention
+    [supply = 1.0] wiring unit per unit area, so ratios compare across
+    designs ([supply = total demand / die area] would make every design
+    average 1); interpretation is left to the ratio statistics below.
 
     With [pool], nets scatter into {!Dpp_par.Pool.chunk_count} fixed
     chunk-local grids merged per bin in ascending chunk order: the map is

@@ -10,17 +10,14 @@ type t = {
   config : Config.t;
   pool : Dpp_par.Pool.t;
   arena : Dpp_util.Arena.t;
-      (** per-context scratch arena: recycled by GP rounds, netbox
-          rescans and RUDY grids.  Single-domain — each serve worker
-          context owns its own. *)
+      (** per-context scratch arena: recycled by GP rounds and RUDY
+          grids.  Single-domain — each serve worker context owns its
+          own. *)
   soa : Soa.t;
   pins : Pins.t;
   mutable cx : float array;
   mutable cy : float array;
   mutable netbox : Netbox.t option;
-  mutable netbox_retired : Netbox.t option;
-      (** last invalidated netbox, kept as the reuse donor for the next
-          build over the same pin view *)
   mutable skip : int -> bool;
   mutable skip_ids : int array;
   mutable flip_skip : int -> bool;
@@ -58,7 +55,6 @@ let create design config =
     cx;
     cy;
     netbox = None;
-    netbox_retired = None;
     skip = (fun _ -> false);
     skip_ids = [||];
     flip_skip = (fun _ -> false);
@@ -100,16 +96,13 @@ let set_flip_skip t ids =
 let set_coords t cx cy =
   t.cx <- cx;
   t.cy <- cy;
-  (* the invalidated cache becomes the storage donor for the next build *)
-  (match t.netbox with Some nb -> t.netbox_retired <- Some nb | None -> ());
   t.netbox <- None
 
 let netbox t =
   match t.netbox with
   | Some nb -> nb
   | None ->
-    let nb = Netbox.build ~pool:t.pool ?reuse:t.netbox_retired t.pins ~cx:t.cx ~cy:t.cy in
-    t.netbox_retired <- None;
+    let nb = Netbox.build ~pool:t.pool t.pins ~cx:t.cx ~cy:t.cy in
     t.netbox <- Some nb;
     nb
 

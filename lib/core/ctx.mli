@@ -21,9 +21,9 @@ type t = {
       (** worker pool sized from [config.jobs], shared by every stage's
           cost kernels; {!Flow.run_ctx} shuts it down when the flow ends *)
   arena : Dpp_util.Arena.t;
-      (** per-context scratch arena recycled by GP rounds, netbox
-          rescans and RUDY evaluations; single-domain — each serve
-          worker context owns its own *)
+      (** per-context scratch arena recycled by GP rounds and RUDY
+          evaluations; single-domain — each serve worker context owns
+          its own *)
   soa : Dpp_netlist.Soa.t;
       (** the flat structure-of-arrays view of [design], derived once at
           context creation and authoritative for every hot kernel; its
@@ -37,9 +37,6 @@ type t = {
   mutable netbox : Dpp_wirelen.Netbox.t option;
       (** incremental HPWL cache over [cx]/[cy]; [None] until first use,
           dropped by {!set_coords} *)
-  mutable netbox_retired : Dpp_wirelen.Netbox.t option;
-      (** last cache dropped by {!set_coords}, recycled as the storage
-          donor of the next {!netbox} build *)
   mutable skip : int -> bool;  (** cells frozen by group snapping (or by ECO) *)
   mutable skip_ids : int array;
       (** the id set behind [skip], maintained by {!set_skip} so

@@ -7,7 +7,7 @@ module Validate = Dpp_netlist.Validate
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
 module Netbox = Dpp_wirelen.Netbox
-module Model = Dpp_wirelen.Model
+module Lse = Dpp_wirelen.Lse
 module Par_grad = Dpp_wirelen.Par_grad
 module Pool = Dpp_par.Pool
 module Grid = Dpp_density.Grid
@@ -167,8 +167,7 @@ let unit_checks (c : case) =
   | _ :: _ as vs -> Some ("bookshelf", "roundtrip", Check.Violation.strings vs)
   | [] -> (
     let gamma = max 1.0 (0.02 *. Rect.width d.Design.die) in
-    let grad model = Check.gradient ~samples:4 ~seed:c.seed ~model ~gamma d in
-    match grad Model.Lse @ grad Model.Wa with
+    match Check.gradient ~samples:4 ~seed:c.seed ~gamma d with
     | _ :: _ as vs -> Some ("gradient", "finite-difference", Check.Violation.strings vs)
     | [] -> (
       match netbox_differential c d with
@@ -210,23 +209,14 @@ let soa_checks (c : case) =
     let h = Hpwl.total pins ~cx ~cy and hr = R.hpwl_total rp ~cx ~cy in
     if not (Float.equal h hr) then
       record "hpwl" (Printf.sprintf "soa %.17g vs record %.17g" h hr);
-    List.iter
-      (fun (name, soa_f, ref_f) ->
-        let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-        let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
-        let v = soa_f ~gx ~gy and v' = ref_f ~gx:gx' ~gy:gy' in
-        if not (Float.equal v v') then
-          record name (Printf.sprintf "value: soa %.17g vs record %.17g" v v');
-        Option.iter (record name) (first_mismatch ~what:(name ^ " gx") gx gx');
-        Option.iter (record name) (first_mismatch ~what:(name ^ " gy") gy gy'))
-      [
-        ( "wa",
-          (fun ~gx ~gy -> Model.value_grad Model.Wa pins ~gamma ~cx ~cy ~gx ~gy),
-          fun ~gx ~gy -> R.wa_value_grad rp ~gamma ~cx ~cy ~gx ~gy );
-        ( "lse",
-          (fun ~gx ~gy -> Model.value_grad Model.Lse pins ~gamma ~cx ~cy ~gx ~gy),
-          fun ~gx ~gy -> R.lse_value_grad rp ~gamma ~cx ~cy ~gx ~gy );
-      ];
+    (let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
+     let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
+     let v = Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy in
+     let v' = R.lse_value_grad rp ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
+     if not (Float.equal v v') then
+       record "lse" (Printf.sprintf "value: soa %.17g vs record %.17g" v v');
+     Option.iter (record "lse") (first_mismatch ~what:"lse gx" gx gx');
+     Option.iter (record "lse") (first_mismatch ~what:"lse gy" gy gy'));
     if !fail = None then begin
       let nx, ny = Grid.default_dims d in
       let grid = Grid.build d ~nx ~ny in
@@ -281,22 +271,16 @@ let par_checks (c : case) =
     let fail = ref None in
     let record stage msg = if !fail = None then fail := Some (stage, [ msg ]) in
     (* wirelength: pooled kernel must equal the serial kernel exactly *)
-    List.iter
-      (fun kind ->
-        let name = Model.kind_to_string kind in
-        let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-        let v = Model.value_grad kind pins ~gamma ~cx ~cy ~gx ~gy in
-        let pg = Par_grad.create pool pins in
-        let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
-        let v' = Par_grad.value_grad pg pool kind ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
-        if not (Float.equal v v') then
-          record "gradient"
-            (Printf.sprintf "%s value: serial %.17g vs %d-worker %.17g" name v c.jobs v');
-        Option.iter (record "gradient")
-          (first_mismatch ~what:(name ^ " gx") gx gx');
-        Option.iter (record "gradient")
-          (first_mismatch ~what:(name ^ " gy") gy gy'))
-      [ Model.Lse; Model.Wa ];
+    (let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
+     let v = Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy in
+     let pg = Par_grad.create pool pins in
+     let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
+     let v' = Par_grad.value_grad pg pool ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
+     if not (Float.equal v v') then
+       record "gradient"
+         (Printf.sprintf "lse value: serial %.17g vs %d-worker %.17g" v c.jobs v');
+     Option.iter (record "gradient") (first_mismatch ~what:"lse gx" gx gx');
+     Option.iter (record "gradient") (first_mismatch ~what:"lse gy" gy gy'));
     (* density: the pooled kernel must not depend on the worker count *)
     if !fail = None then begin
       let nx, ny = Grid.default_dims d in

@@ -7,7 +7,7 @@
 
     - {b unit}: an adversarial micro-design (single-pin nets, unconnected
       pins, fixed blockers, coincident pin offsets) goes through the
-      Bookshelf round-trip oracle and the WA/LSE
+      Bookshelf round-trip oracle and the LSE
       gradient-vs-finite-difference oracle;
     - {b differential}: random move/flip/commit/rollback sequences against
       the {!Dpp_wirelen.Netbox} incremental cache, cross-checked against

@@ -17,15 +17,9 @@ type row = {
 }
 
 let generate name =
-  match Dpp_gen.Presets.by_name name with
-  | Some spec -> Dpp_gen.Compose.build spec
-  | None -> (
-    match Dpp_gen.Xl.by_name name with
-    | Some d -> d
-    | None -> (
-      match Dpp_gen.Channel.by_name name with
-      | Some d -> d
-      | None -> invalid_arg ("Golden: unknown preset " ^ name)))
+  match Dpp_gen.Catalog.design name with
+  | Some d -> d
+  | None -> invalid_arg ("Golden: unknown preset " ^ name)
 
 (* [f dir] in a fresh directory, removed afterwards *)
 let in_temp_dir f =

@@ -27,5 +27,5 @@ val build : ?seed:int -> ?pairs:int -> unit -> Dpp_netlist.Design.t
     @raise Invalid_argument when [pairs < 2]. *)
 
 val by_name : ?seed:int -> ?pairs:int -> string -> Dpp_netlist.Design.t option
-(** [Some] design iff the name is {!name} — the hook the [dpp_place]
-    preset chain and the bench layer use. *)
+(** [Some] design iff the name is {!name} — the hook {!Catalog.design}
+    uses. *)

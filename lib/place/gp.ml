@@ -2,7 +2,6 @@ module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Pins = Dpp_wirelen.Pins
-module Model = Dpp_wirelen.Model
 module Par_grad = Dpp_wirelen.Par_grad
 module Hpwl = Dpp_wirelen.Hpwl
 module Grid = Dpp_density.Grid
@@ -14,7 +13,6 @@ module Alignment = Dpp_structure.Alignment
 module Rudy = Dpp_congest.Rudy
 
 type config = {
-  model : Model.kind;
   target_density : float;
   rounds : int;
   inner_iters : int;
@@ -31,7 +29,6 @@ type config = {
 
 let default_config =
   {
-    model = Model.Lse;
     target_density = 0.9;
     rounds = 30;
     inner_iters = 60;
@@ -135,9 +132,9 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
      worker, so the trajectory never depends on the pool size. *)
   let par = Par_grad.create cfg.pool pins in
   let bell_par = Bell.par_create bell in
-  let model_value ~gamma ~cx ~cy = Par_grad.value par cfg.pool cfg.model ~gamma ~cx ~cy in
+  let model_value ~gamma ~cx ~cy = Par_grad.value par cfg.pool ~gamma ~cx ~cy in
   let model_value_grad ~gamma ~cx ~cy ~gx ~gy =
-    Par_grad.value_grad par cfg.pool cfg.model ~gamma ~cx ~cy ~gx ~gy
+    Par_grad.value_grad par cfg.pool ~gamma ~cx ~cy ~gx ~gy
   in
   let bell_value ~cx ~cy = Bell.par_value bell_par cfg.pool ~cx ~cy in
   let bell_value_grad ~cx ~cy ~gx ~gy = Bell.par_value_grad bell_par cfg.pool ~cx ~cy ~gx ~gy in

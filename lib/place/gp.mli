@@ -1,8 +1,8 @@
 (** Nonlinear analytical global placement (NTUplace3-style).
 
-    Minimises [W_model(x, y; gamma) + lambda * D(x, y) + beta * A(x, y)]
-    over movable-cell centers with nonlinear CG, where [W] is the smooth
-    wirelength ({!Dpp_wirelen.Lse} or {!Dpp_wirelen.Wa}), [D] the
+    Minimises [W_lse(x, y; gamma) + lambda * D(x, y) + beta * A(x, y)]
+    over movable-cell centers with nonlinear CG, where [W] is the
+    log-sum-exp smooth wirelength ({!Dpp_wirelen.Lse}), [D] the
     bell-shaped density potential and [A] the datapath alignment potential
     ([beta = 0] recovers the structure-oblivious baseline).
 
@@ -17,7 +17,6 @@
     it). *)
 
 type config = {
-  model : Dpp_wirelen.Model.kind;
   target_density : float;
   rounds : int;  (** default 30 *)
   inner_iters : int;  (** NLCG iterations per round; default 60 *)
@@ -61,7 +60,7 @@ type config = {
 }
 
 val default_config : config
-(** LSE model, target density 0.9, no alignment. *)
+(** Target density 0.9, no alignment. *)
 
 type round_info = {
   round : int;

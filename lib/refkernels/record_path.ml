@@ -126,61 +126,6 @@ let net_box (t : Rpins.t) ~cx ~cy n =
   end
 
 (* ------------------------------------------------------------------ *)
-(* WA wirelength                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let wa_axis (a : float array) k ~gamma ~(w : float array) ~want_grad =
-  let amax = ref a.(0) and amin = ref a.(0) in
-  for i = 1 to k - 1 do
-    if a.(i) > !amax then amax := a.(i);
-    if a.(i) < !amin then amin := a.(i)
-  done;
-  let nmax = ref 0.0 and dmax = ref 0.0 in
-  let nmin = ref 0.0 and dmin = ref 0.0 in
-  for i = 0 to k - 1 do
-    let u = exp ((a.(i) -. !amax) /. gamma) in
-    let v = exp ((!amin -. a.(i)) /. gamma) in
-    nmax := !nmax +. (a.(i) *. u);
-    dmax := !dmax +. u;
-    nmin := !nmin +. (a.(i) *. v);
-    dmin := !dmin +. v
-  done;
-  let f = !nmax /. !dmax in
-  let g = !nmin /. !dmin in
-  if want_grad then
-    for i = 0 to k - 1 do
-      let u = exp ((a.(i) -. !amax) /. gamma) in
-      let v = exp ((!amin -. a.(i)) /. gamma) in
-      let df = u *. (1.0 +. ((a.(i) -. f) /. gamma)) /. !dmax in
-      let dg = v *. (1.0 -. ((a.(i) -. g) /. gamma)) /. !dmin in
-      w.(i) <- df -. dg
-    done;
-  f -. g
-
-let wa_value_grad (t : Rpins.t) ~gamma ~cx ~cy ~gx ~gy =
-  let acc = ref 0.0 in
-  let d = t.Rpins.design in
-  for n = 0 to Design.num_nets d - 1 do
-    let pins = (Design.net d n).Types.n_pins in
-    let k = Rpins.load_net t ~cx ~cy n in
-    if k >= 2 then begin
-      let wn = (Design.net d n).Types.n_weight in
-      let vx = wa_axis t.Rpins.scratch_x k ~gamma ~w:t.Rpins.scratch_w ~want_grad:true in
-      for i = 0 to k - 1 do
-        let c = t.Rpins.pin_cell.(pins.(i)) in
-        gx.(c) <- gx.(c) +. (wn *. t.Rpins.scratch_w.(i))
-      done;
-      let vy = wa_axis t.Rpins.scratch_y k ~gamma ~w:t.Rpins.scratch_w ~want_grad:true in
-      for i = 0 to k - 1 do
-        let c = t.Rpins.pin_cell.(pins.(i)) in
-        gy.(c) <- gy.(c) +. (wn *. t.Rpins.scratch_w.(i))
-      done;
-      acc := !acc +. (wn *. (vx +. vy))
-    end
-  done;
-  !acc
-
-(* ------------------------------------------------------------------ *)
 (* LSE wirelength                                                      *)
 (* ------------------------------------------------------------------ *)
 

@@ -41,10 +41,10 @@ val write_frame : Unix.file_descr -> string -> unit
 
 (** {1 Messages} *)
 
-(** Where the server finds the job's netlist.  [Preset] covers both the
-    generator presets and the [xl*] scaled benches, resolved exactly as
-    [dpp_place --preset] does; [Bookshelf] reads [basename.aux] from the
-    server's filesystem. *)
+(** Where the server finds the job's netlist.  [Preset] names any
+    {!Dpp_gen.Catalog} design, built with [seed] in place of the preset's
+    own seed; [Bookshelf] reads [basename.aux] from the server's
+    filesystem. *)
 type design_src = Preset of { name : string; seed : int } | Bookshelf of { basename : string }
 
 type job_spec = {

@@ -6,9 +6,6 @@ module Json = Dpp_report.Json
 module Trace = Dpp_report.Trace
 module Design = Dpp_netlist.Design
 module Bookshelf = Dpp_netlist.Bookshelf
-module Compose = Dpp_gen.Compose
-module Presets = Dpp_gen.Presets
-module Xl = Dpp_gen.Xl
 module Config = Dpp_core.Config
 module Flow = Dpp_core.Flow
 module Eco = Dpp_core.Eco
@@ -88,12 +85,9 @@ let null_reply (_ : P.response) = ()
 
 let resolve_design = function
   | P.Preset { name; seed } -> (
-    match Presets.by_name name with
-    | Some spec -> Compose.build { spec with Compose.sp_seed = seed }
-    | None -> (
-      match Xl.by_name ~seed name with
-      | Some d -> d
-      | None -> failwith (Printf.sprintf "unknown preset %S" name)))
+    match Dpp_gen.Catalog.design ~seed name with
+    | Some d -> d
+    | None -> failwith (Printf.sprintf "unknown preset %S" name))
   | P.Bookshelf { basename } -> Bookshelf.read ~basename
 
 let config_of_spec (s : P.job_spec) =

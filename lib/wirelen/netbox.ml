@@ -93,21 +93,10 @@ let clear_dirty t =
   done;
   t.n_dirty <- 0
 
-let build ?pool ?reuse (pins : Pins.t) ~cx ~cy =
+let build ?pool (pins : Pins.t) ~cx ~cy =
   let s = pins.Pins.soa in
   let nn = Soa.num_nets s in
   let t =
-    match reuse with
-    | Some (old : t)
-      when old.pins == pins && Array.length old.xmin = nn && not old.active ->
-      (* Recycle every per-net array of a retired cache over the same pin
-         view: the box scan below overwrites all of them, the stamps stay
-         valid because [txn] keeps counting up, and the dirty set is
-         emptied so the rebuilt cache starts clean.  Only the (small)
-         record itself is fresh — rescans allocate nothing. *)
-      clear_dirty old;
-      { old with cx; cy; total = 0.0 }
-    | _ ->
     {
       pins;
       cx;

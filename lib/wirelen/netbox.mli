@@ -16,18 +16,12 @@
 
 type t
 
-val build : ?pool:Dpp_par.Pool.t -> ?reuse:t -> Pins.t -> cx:float array -> cy:float array -> t
-(** Scans every net once.  [cx]/[cy] are captured, not copied: the cache
-    owns coordinate updates from here on (move through {!move_cell}).
-    With [pool], the per-net scans fan out over the worker domains; the
-    result is bit-identical to the serial build at any worker count.
-
-    [reuse] recycles the per-net arrays of a retired cache built over the
-    same pin view (the flow's rebuild-after-coords-change pattern),
-    making rescans allocation-free; the donor must not be handed out
-    again — the rebuilt cache owns its storage.  Ignored when the donor
-    does not match (different pins, different net count, or mid
-    transaction). *)
+val build : ?pool:Dpp_par.Pool.t -> Pins.t -> cx:float array -> cy:float array -> t
+(** Scans every net once into freshly allocated per-net arrays.
+    [cx]/[cy] are captured, not copied: the cache owns coordinate updates
+    from here on (move through {!move_cell}).  With [pool], the per-net
+    scans fan out over the worker domains; the result is bit-identical to
+    the serial build at any worker count. *)
 
 val pins : t -> Pins.t
 (** The pin view the cache was built over. *)

@@ -20,16 +20,11 @@ let create pool pins =
     pin_gy = Array.make (max 1 (Soa.num_pins s)) 0.0;
   }
 
-let axis_kernel = function
-  | Model.Lse -> Lse.axis_value_grad
-  | Model.Wa -> Wa.axis_value_grad
-
 (* Fan-out: each worker evaluates whole nets into slots owned by exactly
    one net (net_val) or one pin (pin_gx / pin_gy), so the stored values
    are independent of how nets were partitioned across workers. *)
-let scan t pool kind ~gamma ~cx ~cy ~want_grad =
+let scan t pool ~gamma ~cx ~cy ~want_grad =
   let s = t.pins.Pins.soa in
-  let axis = axis_kernel kind in
   Pool.iter_chunks pool ~n:(Soa.num_nets s) (fun ~worker ~chunk:_ ~lo ~hi ->
       let view = t.views.(worker) in
       for n = lo to hi - 1 do
@@ -37,12 +32,12 @@ let scan t pool kind ~gamma ~cx ~cy ~want_grad =
         let k = Pins.load_net view ~cx ~cy n in
         if k >= 2 then begin
           let wn = s.Soa.net_weight.(n) in
-          let vx = axis view.Pins.scratch_x k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
+          let vx = Lse.axis_value_grad view.Pins.scratch_x k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
           if want_grad then
             for i = 0 to k - 1 do
               t.pin_gx.(I32.uget s.Soa.net_pin (plo + i)) <- wn *. view.Pins.scratch_w.(i)
             done;
-          let vy = axis view.Pins.scratch_y k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
+          let vy = Lse.axis_value_grad view.Pins.scratch_y k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
           if want_grad then
             for i = 0 to k - 1 do
               t.pin_gy.(I32.uget s.Soa.net_pin (plo + i)) <- wn *. view.Pins.scratch_w.(i)
@@ -55,8 +50,8 @@ let scan t pool kind ~gamma ~cx ~cy ~want_grad =
 (* Reduce on the calling domain, in exactly the serial kernel's order:
    the value folds nets ascending, and each cell's gradient slot receives
    its pins' contributions ordered by (net, pin position) — the same
-   addition sequence Lse.value_grad / Wa.value_grad perform, so the
-   result is bit-identical to the serial path at every worker count. *)
+   addition sequence Lse.value_grad performs, so the result is
+   bit-identical to the serial path at every worker count. *)
 let reduce t ~want_grad ~gx ~gy =
   let s = t.pins.Pins.soa in
   let pin_cell = t.pins.Pins.pin_cell in
@@ -91,16 +86,16 @@ let no_grad = [||]
    traffic. *)
 let serial_effective t pool = Pool.auto_serial pool ~n:(Soa.num_nets t.pins.Pins.soa)
 
-let value t pool kind ~gamma ~cx ~cy =
-  if serial_effective t pool then Model.value kind t.pins ~gamma ~cx ~cy
+let value t pool ~gamma ~cx ~cy =
+  if serial_effective t pool then Lse.value t.pins ~gamma ~cx ~cy
   else begin
-    scan t pool kind ~gamma ~cx ~cy ~want_grad:false;
+    scan t pool ~gamma ~cx ~cy ~want_grad:false;
     reduce t ~want_grad:false ~gx:no_grad ~gy:no_grad
   end
 
-let value_grad t pool kind ~gamma ~cx ~cy ~gx ~gy =
-  if serial_effective t pool then Model.value_grad kind t.pins ~gamma ~cx ~cy ~gx ~gy
+let value_grad t pool ~gamma ~cx ~cy ~gx ~gy =
+  if serial_effective t pool then Lse.value_grad t.pins ~gamma ~cx ~cy ~gx ~gy
   else begin
-    scan t pool kind ~gamma ~cx ~cy ~want_grad:true;
+    scan t pool ~gamma ~cx ~cy ~want_grad:true;
     reduce t ~want_grad:true ~gx ~gy
   end

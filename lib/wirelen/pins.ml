@@ -12,8 +12,7 @@ type t = {
   scratch_x : float array;
   scratch_y : float array;
   scratch_w : float array;
-  scratch_w2 : float array;
-  scratch_u : float array;  (** per-pin exp cache for the smooth-WL kernels *)
+  scratch_u : float array;  (** per-pin exp cache for the LSE kernel *)
   scratch_v : float array;
 }
 
@@ -43,7 +42,6 @@ let of_soa (s : Soa.t) =
     scratch_x = Array.make max_deg 0.0;
     scratch_y = Array.make max_deg 0.0;
     scratch_w = Array.make max_deg 0.0;
-    scratch_w2 = Array.make max_deg 0.0;
     scratch_u = Array.make max_deg 0.0;
     scratch_v = Array.make max_deg 0.0;
   }
@@ -62,7 +60,6 @@ let clone_scratch t =
     scratch_x = Array.make k 0.0;
     scratch_y = Array.make k 0.0;
     scratch_w = Array.make k 0.0;
-    scratch_w2 = Array.make k 0.0;
     scratch_u = Array.make k 0.0;
     scratch_v = Array.make k 0.0;
   }

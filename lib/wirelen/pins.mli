@@ -1,4 +1,4 @@
-(** Precomputed pin geometry for the smooth wirelength models.
+(** Precomputed pin geometry for the wirelength kernels.
 
     Global placement treats every cell as its center point plus fixed pin
     offsets, evaluated at the orientation each cell has when the structure
@@ -16,8 +16,7 @@ type t = {
   scratch_x : float array;  (** per-net pin coordinate buffers, max degree long *)
   scratch_y : float array;
   scratch_w : float array;  (** softmax weight buffer for gradients *)
-  scratch_w2 : float array;
-  scratch_u : float array;  (** per-pin exp caches for the smooth-WL kernels *)
+  scratch_u : float array;  (** per-pin exp caches for the LSE kernel *)
   scratch_v : float array;
 }
 

@@ -1,12 +1,10 @@
 (* Tests for the scratch arena: buffer recycling semantics, the
-   arena-on = arena-off bit-identity contract through Gp/Rudy/Netbox,
+   arena-on = arena-off bit-identity contract through Gp/Rudy,
    reuse across runs, and domain confinement (concurrent workers with
    separate arenas must not perturb each other's trajectories). *)
 
 module Arena = Dpp_util.Arena
-module Design = Dpp_netlist.Design
 module Pins = Dpp_wirelen.Pins
-module Netbox = Dpp_wirelen.Netbox
 module Rudy = Dpp_congest.Rudy
 module Qp = Dpp_place.Qp
 module Gp = Dpp_place.Gp
@@ -124,26 +122,6 @@ let test_rudy_arena_identity () =
   eq_arr "recycled arena demand" fresh.Rudy.demand a2.Rudy.demand;
   Alcotest.(check bool) "grid recycled" true (Arena.hits arena > 0)
 
-let test_netbox_reuse_identity () =
-  let d = Tutil.random_design ~cells:30 ~nets:40 9 in
-  let pins = Pins.build d in
-  let cx, cy = Pins.centers_of_design d in
-  let donor = Netbox.build pins ~cx:(Array.copy cx) ~cy:(Array.copy cy) in
-  (* shift the placement, then rebuild fresh vs through the donor *)
-  let cx2 = Array.map (fun v -> v +. 1.5) cx and cy2 = Array.map (fun v -> v -. 0.5) cy in
-  let fresh = Netbox.build pins ~cx:(Array.copy cx2) ~cy:(Array.copy cy2) in
-  let reused = Netbox.build ~reuse:donor pins ~cx:(Array.copy cx2) ~cy:(Array.copy cy2) in
-  Alcotest.(check bool) "totals identical" true
-    (Float.equal (Netbox.total fresh) (Netbox.total reused));
-  for n = 0 to Design.num_nets d - 1 do
-    let a0, a1, a2, a3 = Netbox.net_box fresh n in
-    let b0, b1, b2, b3 = Netbox.net_box reused n in
-    Alcotest.(check bool)
-      (Printf.sprintf "net %d box" n)
-      true
-      (Float.equal a0 b0 && Float.equal a1 b1 && Float.equal a2 b2 && Float.equal a3 b3)
-  done
-
 let test_concurrent_domains_separate_arenas () =
   (* two worker domains place different designs at once, each with its
      own arena; both trajectories must equal their serial references
@@ -172,7 +150,6 @@ let suite =
     Alcotest.test_case "gp arena reuse across runs" `Quick test_gp_arena_reuse_across_runs;
     Alcotest.test_case "gp arena fuzz" `Slow test_gp_arena_fuzz;
     Alcotest.test_case "rudy arena identity" `Quick test_rudy_arena_identity;
-    Alcotest.test_case "netbox reuse identity" `Quick test_netbox_reuse_identity;
     Alcotest.test_case "concurrent domains separate arenas" `Quick
       test_concurrent_domains_separate_arenas;
   ]

@@ -7,7 +7,6 @@ module Builder = Dpp_netlist.Builder
 module Design = Dpp_netlist.Design
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
-module Model = Dpp_wirelen.Model
 module Legal = Dpp_place.Legal
 module Config = Dpp_core.Config
 module Ctx = Dpp_core.Ctx
@@ -129,13 +128,9 @@ let test_netbox_sync_clean_and_corrupted () =
 let test_gradient_oracle () =
   let d = Fuzz.random_design ~seed:11 ~cells:40 ~nets:15 in
   let gamma = max 1.0 (0.02 *. Rect.width d.Design.die) in
-  List.iter
-    (fun model ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s gradient matches finite differences" (Model.kind_to_string model))
-        []
-        (violation_strings (Check.gradient ~samples:5 ~seed:3 ~model ~gamma d)))
-    [ Model.Lse; Model.Wa ]
+  Alcotest.(check (list string))
+    "lse gradient matches finite differences" []
+    (violation_strings (Check.gradient ~samples:5 ~seed:3 ~gamma d))
 
 (* ----- validation oracle carries names, not indices ----- *)
 

@@ -12,7 +12,7 @@ module Builder = Dpp_netlist.Builder
 module Design = Dpp_netlist.Design
 module Pool = Dpp_par.Pool
 module Pins = Dpp_wirelen.Pins
-module Model = Dpp_wirelen.Model
+module Lse = Dpp_wirelen.Lse
 module Par_grad = Dpp_wirelen.Par_grad
 module Netbox = Dpp_wirelen.Netbox
 module Grid = Dpp_density.Grid
@@ -148,32 +148,28 @@ let test_pool_propagates_exceptions () =
 
 (* ----- wirelength: bit-identical to the serial kernels ----- *)
 
-let test_model_kernels_bit_exact () =
+let test_lse_kernels_bit_exact () =
   List.iter
     (fun (dname, d) ->
       let pins = Pins.build d in
       let nc = Design.num_cells d in
       let cx, cy = Pins.centers_of_design d in
       let gamma = 2.0 in
+      let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
+      let v_serial = Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy in
+      let val_serial = Lse.value pins ~gamma ~cx ~cy in
       List.iter
-        (fun kind ->
-          let kname = Model.kind_to_string kind in
-          let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-          let v_serial = Model.value_grad kind pins ~gamma ~cx ~cy ~gx ~gy in
-          let val_serial = Model.value kind pins ~gamma ~cx ~cy in
-          List.iter
-            (fun w ->
-              Pool.with_pool ~nworkers:w @@ fun pool ->
-              let pg = Par_grad.create pool pins in
-              let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
-              let v = Par_grad.value_grad pg pool kind ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
-              let tag fmt = Printf.sprintf "%s %s w=%d %s" dname kname w fmt in
-              check_float (tag "value_grad value") v_serial v;
-              check_float (tag "value") val_serial (Par_grad.value pg pool kind ~gamma ~cx ~cy);
-              check_bits (tag "gx") gx gx';
-              check_bits (tag "gy") gy gy')
-            worker_counts)
-        [ Model.Lse; Model.Wa ])
+        (fun w ->
+          Pool.with_pool ~nworkers:w @@ fun pool ->
+          let pg = Par_grad.create pool pins in
+          let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
+          let v = Par_grad.value_grad pg pool ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
+          let tag fmt = Printf.sprintf "%s w=%d %s" dname w fmt in
+          check_float (tag "value_grad value") v_serial v;
+          check_float (tag "value") val_serial (Par_grad.value pg pool ~gamma ~cx ~cy);
+          check_bits (tag "gx") gx gx';
+          check_bits (tag "gy") gy gy')
+        worker_counts)
     (designs ())
 
 (* ----- density: bit-stable across worker counts ----- *)
@@ -273,21 +269,16 @@ let test_netbox_pooled_build_bit_exact () =
 let test_gradient_oracle_pooled () =
   let d = Tutil.random_design ~cells:30 ~nets:40 17 in
   let gamma = 2.0 in
+  let serial = Check.gradient ~seed:5 ~gamma d in
+  Alcotest.(check int) "serial oracle clean" 0 (List.length serial);
   List.iter
-    (fun kind ->
-      let serial = Check.gradient ~seed:5 ~model:kind ~gamma d in
+    (fun w ->
+      Pool.with_pool ~nworkers:w @@ fun pool ->
       Alcotest.(check int)
-        (Model.kind_to_string kind ^ " serial oracle clean")
-        0 (List.length serial);
-      List.iter
-        (fun w ->
-          Pool.with_pool ~nworkers:w @@ fun pool ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s w=%d pooled oracle clean" (Model.kind_to_string kind) w)
-            0
-            (List.length (Check.gradient ~pool ~seed:5 ~model:kind ~gamma d)))
-        worker_counts)
-    [ Model.Lse; Model.Wa ]
+        (Printf.sprintf "w=%d pooled oracle clean" w)
+        0
+        (List.length (Check.gradient ~pool ~seed:5 ~gamma d)))
+    worker_counts
 
 (* ----- end-to-end: same trajectory at -jobs 1 and -jobs 4 ----- *)
 
@@ -359,8 +350,7 @@ let suite =
       test_pool_iter_chunks_visits_once;
     Alcotest.test_case "run reaches every worker" `Quick test_pool_run_each_worker;
     Alcotest.test_case "worker exceptions propagate" `Quick test_pool_propagates_exceptions;
-    Alcotest.test_case "WA/LSE kernels bit-exact vs serial" `Quick
-      test_model_kernels_bit_exact;
+    Alcotest.test_case "LSE kernels bit-exact vs serial" `Quick test_lse_kernels_bit_exact;
     Alcotest.test_case "bell kernels worker-count independent" `Quick
       test_bell_worker_count_independent;
     Alcotest.test_case "RUDY worker-count independent" `Quick

@@ -367,6 +367,18 @@ let test_e2e_single_job () =
         Alcotest.(check bool) "hpwl positive" true (hpwl > 0.0)
       | _ -> Alcotest.fail "expected Done last")
 
+(* Every catalogue name resolves in the daemon, rt_channel included. *)
+let test_e2e_rt_channel_preset () =
+  with_server ~workers:1 (fun t ->
+      let spec =
+        P.spec ~gp_rounds:2 ~gp_inner_iters:5 ~detail_passes:1
+          (P.Preset { name = Dpp_gen.Channel.name; seed = 1 })
+      in
+      match List.rev (converse t [ P.Submit spec ] ~verdicts:1) with
+      | P.Done { hpwl; _ } :: _ -> Alcotest.(check bool) "hpwl positive" true (hpwl > 0.0)
+      | P.Failed { reason; _ } :: _ -> Alcotest.failf "rt_channel submit failed: %s" reason
+      | _ -> Alcotest.fail "expected Done last")
+
 let test_e2e_ping_and_malformed_message () =
   with_server (fun t ->
       let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -609,6 +621,7 @@ let suite =
     Alcotest.test_case "scheduler backpressure" `Quick test_scheduler_backpressure;
     Alcotest.test_case "scheduler contains raise" `Quick test_scheduler_contains_raise;
     Alcotest.test_case "e2e single job" `Slow test_e2e_single_job;
+    Alcotest.test_case "e2e rt_channel preset" `Quick test_e2e_rt_channel_preset;
     Alcotest.test_case "e2e ping and malformed message" `Quick test_e2e_ping_and_malformed_message;
     Alcotest.test_case "e2e socket shutdown" `Quick test_e2e_socket_shutdown;
     Alcotest.test_case "e2e concurrent clients" `Slow test_e2e_concurrent_clients;

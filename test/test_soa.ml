@@ -11,7 +11,7 @@ module Builder = Dpp_netlist.Builder
 module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
-module Model = Dpp_wirelen.Model
+module Lse = Dpp_wirelen.Lse
 module Par_grad = Dpp_wirelen.Par_grad
 module Netbox = Dpp_wirelen.Netbox
 module Grid = Dpp_density.Grid
@@ -197,11 +197,8 @@ let test_kernels_match_record_path () =
       let gamma = max 1.0 (0.02 *. Dpp_geom.Rect.width d.Design.die) in
       if not (Float.equal (Hpwl.total pins ~cx ~cy) (R.hpwl_total rp ~cx ~cy)) then
         Alcotest.failf "%s: hpwl differs from the record path" name;
-      grad_equal ~what:(name ^ " wa") n
-        (fun ~gx ~gy -> Model.value_grad Model.Wa pins ~gamma ~cx ~cy ~gx ~gy)
-        (fun ~gx ~gy -> R.wa_value_grad rp ~gamma ~cx ~cy ~gx ~gy);
       grad_equal ~what:(name ^ " lse") n
-        (fun ~gx ~gy -> Model.value_grad Model.Lse pins ~gamma ~cx ~cy ~gx ~gy)
+        (fun ~gx ~gy -> Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy)
         (fun ~gx ~gy -> R.lse_value_grad rp ~gamma ~cx ~cy ~gx ~gy);
       let nx, ny = Grid.default_dims d in
       let grid = Grid.build d ~nx ~ny in
@@ -247,7 +244,7 @@ let test_kernels_jobs_1_2_4 () =
         Pool.with_pool ~nworkers:jobs @@ fun pool ->
         let pg = Par_grad.create pool pins in
         let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-        let v = Par_grad.value_grad pg pool Model.Wa ~gamma ~cx ~cy ~gx ~gy in
+        let v = Par_grad.value_grad pg pool ~gamma ~cx ~cy ~gx ~gy in
         let bp = Bell.par_create bell in
         let bx = Array.make n 0.0 and by = Array.make n 0.0 in
         let bv = Bell.par_value_grad bp pool ~cx ~cy ~gx:bx ~gy:by in
@@ -257,10 +254,10 @@ let test_kernels_jobs_1_2_4 () =
       in
       (* anchor: the pooled gradient must equal the record path too *)
       let gx' = Array.make n 0.0 and gy' = Array.make n 0.0 in
-      let vr = R.wa_value_grad rp ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
+      let vr = R.lse_value_grad rp ~gamma ~cx ~cy ~gx:gx' ~gy:gy' in
       let v1, px1, py1, b1, bx1, by1, rd1, nt1 = at_jobs 1 in
       if not (Float.equal v1 vr && Array.for_all2 Float.equal px1 gx') then
-        Alcotest.failf "%s: pooled wa at 1 worker differs from the record path" name;
+        Alcotest.failf "%s: pooled lse at 1 worker differs from the record path" name;
       ignore py1;
       List.iter
         (fun jobs ->

@@ -1,4 +1,4 @@
-(* Tests for Dpp_wirelen: HPWL, LSE, WA — exact values, model bounds, and
+(* Tests for Dpp_wirelen: HPWL and LSE — exact values, model bounds, and
    finite-difference gradient verification. *)
 
 module Rect = Dpp_geom.Rect
@@ -8,8 +8,6 @@ module Design = Dpp_netlist.Design
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
 module Lse = Dpp_wirelen.Lse
-module Wa = Dpp_wirelen.Wa
-module Model = Dpp_wirelen.Model
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -87,46 +85,6 @@ let test_lse_converges_to_hpwl () =
   let err gamma = abs_float (Lse.value pins ~gamma ~cx ~cy -. hp) in
   Alcotest.(check bool) "monotone in gamma" true (err 0.01 < err 1.0 && err 1.0 < err 100.0)
 
-let test_wa_lower_bound () =
-  List.iter
-    (fun seed ->
-      let d = bounds_design seed in
-      let pins = Pins.build d in
-      let cx, cy = Pins.centers_of_design d in
-      List.iter
-        (fun gamma ->
-          let wa = Wa.value pins ~gamma ~cx ~cy in
-          let hp = Hpwl.total pins ~cx ~cy in
-          if wa > hp +. 1e-6 then Alcotest.failf "WA %.4f > HPWL %.4f" wa hp)
-        [ 10.0; 1.0; 0.1 ])
-    [ 5; 6; 7 ]
-
-let test_wa_converges_to_hpwl () =
-  let d = bounds_design 8 in
-  let pins = Pins.build d in
-  let cx, cy = Pins.centers_of_design d in
-  let hp = Hpwl.total pins ~cx ~cy in
-  Alcotest.(check bool) "tight at small gamma" true
-    (abs_float (Wa.value pins ~gamma:0.01 ~cx ~cy -. hp) < 0.05 *. hp)
-
-let test_wa_tighter_than_lse () =
-  (* the WA model's selling point: smaller modelling error than LSE at the
-     same gamma *)
-  let worse = ref 0 and total = ref 0 in
-  List.iter
-    (fun seed ->
-      let d = bounds_design seed in
-      let pins = Pins.build d in
-      let cx, cy = Pins.centers_of_design d in
-      let hp = Hpwl.total pins ~cx ~cy in
-      let gamma = 2.0 in
-      let e_lse = abs_float (Lse.value pins ~gamma ~cx ~cy -. hp) in
-      let e_wa = abs_float (Wa.value pins ~gamma ~cx ~cy -. hp) in
-      incr total;
-      if e_wa > e_lse then incr worse)
-    [ 11; 12; 13; 14; 15; 16 ];
-  Alcotest.(check bool) "WA usually tighter" true (!worse * 2 <= !total)
-
 (* ---------------- gradients ---------------- *)
 
 let test_lse_gradient () =
@@ -141,20 +99,8 @@ let test_lse_gradient () =
       if err > 1e-4 then Alcotest.failf "LSE gradient error %.2e" err)
     [ 21; 22; 23 ]
 
-let test_wa_gradient () =
-  List.iter
-    (fun seed ->
-      let d = bounds_design seed in
-      let pins = Pins.build d in
-      let err =
-        Tutil.gradient_error d ~value_grad:(fun ~cx ~cy ~gx ~gy ->
-            Wa.value_grad pins ~gamma:3.0 ~cx ~cy ~gx ~gy)
-      in
-      if err > 1e-4 then Alcotest.failf "WA gradient error %.2e" err)
-    [ 24; 25; 26 ]
-
 let test_gradient_translation_invariance () =
-  (* moving everything by a constant leaves both models unchanged *)
+  (* moving everything by a constant leaves the model unchanged *)
   let d = bounds_design 31 in
   let pins = Pins.build d in
   let cx, cy = Pins.centers_of_design d in
@@ -164,19 +110,6 @@ let test_gradient_translation_invariance () =
   let v2 = Lse.value pins ~gamma:2.0 ~cx:cx' ~cy:cy' in
   Alcotest.(check (float 1e-6)) "translation invariant" v1 v2
 
-let test_model_dispatch () =
-  let d = bounds_design 41 in
-  let pins = Pins.build d in
-  let cx, cy = Pins.centers_of_design d in
-  check_float "lse dispatch" (Lse.value pins ~gamma:1.0 ~cx ~cy)
-    (Model.value Model.Lse pins ~gamma:1.0 ~cx ~cy);
-  check_float "wa dispatch" (Wa.value pins ~gamma:1.0 ~cx ~cy)
-    (Model.value Model.Wa pins ~gamma:1.0 ~cx ~cy);
-  Alcotest.(check bool) "kind strings" true
-    (Model.kind_of_string "lse" = Some Model.Lse
-    && Model.kind_of_string "wa" = Some Model.Wa
-    && Model.kind_of_string "x" = None)
-
 let test_numerical_stability_large_coords () =
   (* the max-shift normalisation must survive coordinates ~1e6 *)
   let d = two_point_design () in
@@ -184,9 +117,7 @@ let test_numerical_stability_large_coords () =
   let cx, cy = Pins.centers_of_design d in
   let cx = Array.map (fun x -> x +. 1e6) cx in
   let lse = Lse.value pins ~gamma:0.5 ~cx ~cy in
-  let wa = Wa.value pins ~gamma:0.5 ~cx ~cy in
-  Alcotest.(check bool) "lse finite" true (Float.is_finite lse);
-  Alcotest.(check bool) "wa finite" true (Float.is_finite wa)
+  Alcotest.(check bool) "lse finite" true (Float.is_finite lse)
 
 let suite =
   [
@@ -195,12 +126,7 @@ let suite =
     Alcotest.test_case "hpwl degenerate" `Quick test_hpwl_degenerate;
     Alcotest.test_case "lse upper bound" `Quick test_lse_upper_bound;
     Alcotest.test_case "lse gamma convergence" `Quick test_lse_converges_to_hpwl;
-    Alcotest.test_case "wa lower bound" `Quick test_wa_lower_bound;
-    Alcotest.test_case "wa gamma convergence" `Quick test_wa_converges_to_hpwl;
-    Alcotest.test_case "wa tighter than lse" `Quick test_wa_tighter_than_lse;
     Alcotest.test_case "lse gradient fd" `Quick test_lse_gradient;
-    Alcotest.test_case "wa gradient fd" `Quick test_wa_gradient;
     Alcotest.test_case "translation invariance" `Quick test_gradient_translation_invariance;
-    Alcotest.test_case "model dispatch" `Quick test_model_dispatch;
     Alcotest.test_case "stability at large coords" `Quick test_numerical_stability_large_coords;
   ]
