@@ -36,12 +36,11 @@ let run preset cells dp_fraction seed peko out list_presets =
     let design =
       match preset with
       | Some name -> (
-        (* --seed re-seeds the XL family; the other presets keep their own seeds *)
-        let seed = if List.mem name Dpp_gen.Xl.preset_names then Some seed else None in
         match Dpp_gen.Catalog.design ?seed name with
         | Some d -> Ok d
         | None -> Error (Printf.sprintf "unknown preset %S" name))
       | None -> (
+        let seed = Option.value seed ~default:1 in
         match Dpp_gen.Presets.scaled ~name:"custom" ~seed ~cells ~dp_fraction with
         | spec -> Ok (Dpp_gen.Compose.build spec)
         | exception Invalid_argument msg -> Error msg)
@@ -65,7 +64,13 @@ let cmd =
   let dp_fraction =
     Arg.(value & opt float 0.5 & info [ "dp-fraction" ] ~doc:"Datapath fraction of movable cells (custom design).")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
+  let seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"N"
+          ~doc:"Generator seed. Without it each preset uses its own seed, and a custom design seed 1.")
+  in
   let peko =
     Arg.(
       value & flag

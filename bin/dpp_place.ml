@@ -180,7 +180,7 @@ let cmd =
   let density = Arg.(value & opt float 0.9 & info [ "density" ] ~doc:"Target placement density.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Flow random seed.") in
   let jobs =
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains for the cost kernels. The resulting placement is identical at every value.")
+    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains for the cost kernels, at most 16 (larger values run at 16). The resulting placement is identical at every value.")
   in
   let multilevel =
     Arg.(value & flag & info [ "multilevel" ] ~doc:"Force the multilevel global-placement V-cycle (coarsen, place coarse, interpolate, refine) regardless of design size. By default it engages automatically above the movable-cell threshold.")

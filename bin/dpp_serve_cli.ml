@@ -184,7 +184,7 @@ let bookshelf =
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator/flow seed.")
 let mode = Arg.(value & opt string "baseline" & info [ "mode" ] ~docv:"MODE" ~doc:"baseline or sa.")
 let check = Arg.(value & flag & info [ "check" ] ~doc:"Run the stage-boundary invariant oracles.")
-let jobs = Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains per job.")
+let jobs = Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains per job, at most 16 (larger values run at 16).")
 
 let fast =
   Arg.(

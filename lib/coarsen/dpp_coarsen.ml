@@ -37,17 +37,7 @@ let cluster_shape (d : Design.t) ~area =
   let h = float_of_int rows *. rh in
   area /. h, h
 
-(* Per-level scratch comes from the caller's arena when one is given:
-   the V-cycle builds levels strictly one after another, so each level's
-   matching buffers recycle the previous level's instead of piling up
-   garbage for the major GC to find mid-coarsening. *)
-let scratch_ints ?arena key n =
-  match arena with Some a -> Dpp_util.Arena.ints a key n | None -> Array.make n 0
-
-let scratch_floats ?arena key n =
-  match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
-
-let coarsen_once ?arena ~rng ~groups ~protect ~(soa : Soa.t) (fine : Design.t) =
+let coarsen_once ~rng ~groups ~protect ~(soa : Soa.t) (fine : Design.t) =
   let nc = Design.num_cells fine in
   let cluster_of = Array.make nc (-1) in
   let next = ref 0 in
@@ -103,11 +93,8 @@ let coarsen_once ?arena ~rng ~groups ~protect ~(soa : Soa.t) (fine : Design.t) =
      matching pass on 100k+ cell designs.  The winner rule (max score,
      lower id on ties) has a unique answer, so scanning the touched list
      in insertion order picks the same mate the unordered fold did. *)
-  let score = scratch_floats ?arena "coarsen.score" nc in
-  let stamp = scratch_ints ?arena "coarsen.stamp" nc in
-  (* a recycled stamp buffer holds stale cell ids, which are exactly the
-     values the stamping scheme uses — reset to the impossible seed *)
-  Array.fill stamp 0 nc (-1);
+  let score = Array.make nc 0.0 in
+  let stamp = Array.make nc (-1) in
   let touched = ref (Array.make 256 0) in
   let n_touched = ref 0 in
   let push v =
@@ -175,10 +162,10 @@ let coarsen_once ?arena ~rng ~groups ~protect ~(soa : Soa.t) (fine : Design.t) =
       if c.Types.c_kind <> Types.Movable then cluster_of.(i) <- new_cluster ())
     fine.Design.cells;
   let k = !next in
-  let counts = scratch_ints ?arena "coarsen.counts" k in
+  let counts = Array.make k 0 in
   Array.iter (fun cid -> counts.(cid) <- counts.(cid) + 1) cluster_of;
   let members = Array.init k (fun cid -> Array.make counts.(cid) (-1)) in
-  let fill = scratch_ints ?arena "coarsen.fill" k in
+  let fill = Array.make k 0 in
   for i = 0 to nc - 1 do
     let cid = cluster_of.(i) in
     members.(cid).(fill.(cid)) <- i;
@@ -293,7 +280,7 @@ let largest_movable_component (s : Soa.t) =
     !best
   end
 
-let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3) ~seed ~soa
+let build ?(groups = []) ?(min_cells = 500) ?(max_levels = 3) ~seed ~soa
     (root : Design.t) =
   let rng = Rng.create (seed lxor 0x436f6172) in
   (* the root's flat view is the caller's; each level derives its coarse
@@ -302,9 +289,7 @@ let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3) ~seed ~soa
     let n_mov = Array.length (Design.movable_ids fine) in
     if depth >= max_levels || n_mov <= min_cells then List.rev acc
     else begin
-      let lvl =
-        coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~soa fine
-      in
+      let lvl = coarsen_once ~rng:(Rng.split rng) ~groups ~protect ~soa fine in
       let n_coarse = Array.length (Design.movable_ids lvl.coarse) in
       Log.info (fun m ->
           m "level %d: %d -> %d movables (%d group clusters)" (depth + 1) n_mov n_coarse
@@ -326,21 +311,9 @@ let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3) ~seed ~soa
   end
   else go [] 0 root soa groups (fun _ -> false)
 
-let cluster_centers ?arena (lvl : level) ~cx ~cy =
+let cluster_centers (lvl : level) ~cx ~cy =
   let k = Design.num_cells lvl.coarse in
-  (* keyed by the coarse design's name, which encodes the level depth
-     ("name#", "name##", ...) — each level of one V-cycle holds its own
-     buffer, while repeated V-cycles over one hierarchy recycle.  Every
-     slot is written below, so the raw (non-zeroing) variant is safe:
-     the recycled buffer can never be this call's [cx]/[cy] input (those
-     live under different keys or outside the arena). *)
-  let raw key n =
-    match arena with
-    | Some a -> Dpp_util.Arena.floats_raw a key n
-    | None -> Array.make n 0.0
-  in
-  let ccx = raw ("coarsen.ccx:" ^ lvl.coarse.Design.name) k
-  and ccy = raw ("coarsen.ccy:" ^ lvl.coarse.Design.name) k in
+  let ccx = Array.make k 0.0 and ccy = Array.make k 0.0 in
   for cid = 0 to k - 1 do
     let ms = lvl.members.(cid) in
     if Array.length ms = 1 then begin

@@ -34,7 +34,6 @@ type level = {
 }
 
 val build :
-  ?arena:Dpp_util.Arena.t ->
   ?groups:Dpp_structure.Dgroup.t list ->
   ?min_cells:int ->
   ?max_levels:int ->
@@ -57,18 +56,10 @@ val build :
     islands where heavy-edge matching degenerates; flat GP is the better
     start there. *)
 
-val cluster_centers :
-  ?arena:Dpp_util.Arena.t ->
-  level ->
-  cx:float array ->
-  cy:float array ->
-  float array * float array
+val cluster_centers : level -> cx:float array -> cy:float array -> float array * float array
 (** Area-weighted centroid of each cluster's members, evaluated over the
     fine center arrays — the upward (restriction) half of the V-cycle.
-    Fixed singletons keep their fine centers.  With [arena], the returned
-    arrays are arena buffers keyed by the coarse design's name: valid
-    until the next restriction over the same hierarchy, which is exactly
-    the V-cycle's reuse pattern. *)
+    Fixed singletons keep their fine centers. *)
 
 val interpolate :
   level -> ccx:float array -> ccy:float array -> cx:float array -> cy:float array -> unit

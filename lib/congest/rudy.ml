@@ -20,7 +20,7 @@ let default_dims (d : Design.t) =
 
 module Pool = Dpp_par.Pool
 
-let compute ?pool ?arena ~(pins : Pins.t) ?nx ?ny (d : Design.t) ~cx ~cy =
+let compute ?pool ~(pins : Pins.t) ?nx ?ny (d : Design.t) ~cx ~cy =
   let dnx, dny = default_dims d in
   (* a non-positive request (or a degenerate derivation) collapses to the
      single-bin grid rather than a zero-length demand array *)
@@ -38,15 +38,7 @@ let compute ?pool ?arena ~(pins : Pins.t) ?nx ?ny (d : Design.t) ~cx ~cy =
     let h = Rect.height die /. float_of_int ny in
     if h > 0.0 then h else 1.0
   in
-  (* arena-recycled buffers make the routability loop's every-round RUDY
-     evaluation allocation-free; [floats] zero-fills, so the scatter sees
-     exactly what a fresh [Array.make] would.  The returned map then
-     aliases the arena: it is invalidated by the next [compute] against
-     the same arena. *)
-  let afloats key n =
-    match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
-  in
-  let demand = afloats "rudy.demand" (nx * ny) in
+  let demand = Array.make (nx * ny) 0.0 in
   let soa = pins.Pins.soa in
   let clamp_ix v = max 0 (min (nx - 1) v) in
   let clamp_iy v = max 0 (min (ny - 1) v) in
@@ -101,7 +93,7 @@ let compute ?pool ?arena ~(pins : Pins.t) ?nx ?ny (d : Design.t) ~cx ~cy =
   in
   (match pool with
   | None ->
-    let wrow = afloats "rudy.wrow" nx in
+    let wrow = Array.make nx 0.0 in
     for n = 0 to Soa.num_nets soa - 1 do
       scatter_net pins wrow demand n
     done
@@ -112,12 +104,8 @@ let compute ?pool ?arena ~(pins : Pins.t) ?nx ?ny (d : Design.t) ~cx ~cy =
     let views =
       Array.init (Pool.nworkers pool) (fun w -> if w = 0 then pins else Pins.clone_scratch pins)
     in
-    let chunk_demand =
-      Array.init Pool.chunk_count (fun c -> afloats (Printf.sprintf "rudy.chunk%d" c) (nx * ny))
-    in
-    let chunk_wrow =
-      Array.init Pool.chunk_count (fun c -> afloats (Printf.sprintf "rudy.wrow%d" c) nx)
-    in
+    let chunk_demand = Array.init Pool.chunk_count (fun _ -> Array.make (nx * ny) 0.0) in
+    let chunk_wrow = Array.init Pool.chunk_count (fun _ -> Array.make nx 0.0) in
     Pool.iter_chunks pool ~n:(Soa.num_nets soa) (fun ~worker ~chunk ~lo ~hi ->
         let grid = chunk_demand.(chunk) in
         let wrow = chunk_wrow.(chunk) in

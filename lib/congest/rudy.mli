@@ -22,7 +22,6 @@ type t = {
 
 val compute :
   ?pool:Dpp_par.Pool.t ->
-  ?arena:Dpp_util.Arena.t ->
   pins:Dpp_wirelen.Pins.t ->
   ?nx:int ->
   ?ny:int ->
@@ -41,12 +40,6 @@ val compute :
     chunk-local grids merged per bin in ascending chunk order: the map is
     bit-stable across worker counts (but not bit-equal to the serial
     scatter, whose single grid accumulates in net order).
-
-    With [arena], the demand grid and the chunk-local scratch come from
-    the arena instead of fresh allocation (bit-identical result): the
-    routability loop evaluates RUDY every round without allocating.  The
-    returned map then aliases arena buffers — it is invalidated by the
-    next [compute] against the same arena.
 
     Degenerate inputs are clamped rather than rejected: non-positive
     [nx]/[ny] collapse to the single-bin grid, and a zero-extent die

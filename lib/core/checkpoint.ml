@@ -97,8 +97,20 @@ module Snapshot = struct
   let restore (s : t) (ctx : Ctx.t) =
     let d = ctx.Ctx.design in
     let n = Array.length d.Design.orient in
-    if Array.length s.orient <> n || Array.length s.cx <> n then
-      invalid_arg "Snapshot.restore: cell count mismatch";
+    (* a spool record that does not fit the design is refused here, naming
+       the field, instead of failing later as a bare index error *)
+    let bad field =
+      invalid_arg (Printf.sprintf "Snapshot.restore: %s does not fit the design's %d cells" field n)
+    in
+    if Array.length s.orient <> n then bad "orient";
+    if Array.length s.cx <> n then bad "cx";
+    if Array.length s.cy <> n then bad "cy";
+    let na = Array.length s.assignment in
+    if na <> 0 && na <> n then bad "assignment";
+    let out_of_range i = i < 0 || i >= n in
+    if Array.exists out_of_range s.skip_ids then bad "skip_ids";
+    if Array.exists out_of_range s.flip_skip_ids then bad "flip_skip_ids";
+    if List.exists out_of_range s.failed then bad "failed";
     (* orientations first: accepted flips must be visible through the
        soa/pin views (they alias [d.orient]) before coordinates adopt the
        snapshot placement *)

@@ -49,8 +49,11 @@ module Snapshot : sig
   (** Install the snapshot into a context freshly created over the same
       design by {!Flow.context}, before {!Flow.run_ctx}.  Orientation
       diffs are applied to both the design and the shared pin view, so no
-      rebuild is needed.  @raise Invalid_argument on a cell-count
-      mismatch. *)
+      rebuild is needed.  @raise Invalid_argument naming the field when
+      the snapshot does not fit the design's [n] cells: [orient], [cx]
+      or [cy] not of length [n], [assignment] neither empty nor of
+      length [n], or an id in [skip_ids], [flip_skip_ids] or [failed]
+      outside [0 .. n-1]. *)
 
   val of_json : Dpp_report.Json.t -> t
   (** The spool object; the serve layer embeds it next to the job spec. *)

@@ -9,10 +9,6 @@ type t = {
   design : Design.t;
   config : Config.t;
   pool : Dpp_par.Pool.t;
-  arena : Dpp_util.Arena.t;
-      (** per-context scratch arena: recycled by GP rounds and RUDY
-          grids.  Single-domain — each serve worker context owns its
-          own. *)
   soa : Soa.t;
   pins : Pins.t;
   mutable cx : float array;
@@ -49,7 +45,6 @@ let create design config =
     design;
     config;
     pool = Dpp_par.Pool.create ~nworkers:config.Config.jobs;
-    arena = Dpp_util.Arena.create ();
     soa;
     pins = Pins.of_soa soa;
     cx;

@@ -20,10 +20,6 @@ type t = {
   pool : Dpp_par.Pool.t;
       (** worker pool sized from [config.jobs], shared by every stage's
           cost kernels; {!Flow.run_ctx} shuts it down when the flow ends *)
-  arena : Dpp_util.Arena.t;
-      (** per-context scratch arena recycled by GP rounds and RUDY
-          evaluations; single-domain — each serve worker context owns
-          its own *)
   soa : Dpp_netlist.Soa.t;
       (** the flat structure-of-arrays view of [design], derived once at
           context creation and authoritative for every hot kernel; its

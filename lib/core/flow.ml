@@ -140,16 +140,14 @@ let gp_stage =
           if Config.multilevel_enabled cfg ~movables then
             (* bit-slices and movable macros seed the first-level
                clusters, so no group is ever split across clusters *)
-            Dpp_coarsen.build ~arena:ctx.Ctx.arena
-              ~groups:(ctx.Ctx.dgroups @ ctx.Ctx.macro_dgs)
+            Dpp_coarsen.build ~groups:(ctx.Ctx.dgroups @ ctx.Ctx.macro_dgs)
               ~min_cells:cfg.Config.ml_min_cells ~max_levels:cfg.Config.ml_max_levels
               ~seed:cfg.Config.seed ~soa:ctx.Ctx.soa d
           else []
         in
         ctx.Ctx.ml_levels <- levels;
         let mlr =
-          Gp.run_multilevel ~arena:ctx.Ctx.arena ~pins:ctx.Ctx.pins d gp_cfg ~levels
-            ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
+          Gp.run_multilevel ~pins:ctx.Ctx.pins d gp_cfg ~levels ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
         in
         ctx.Ctx.gp <- Some mlr.Gp.result;
         ctx.Ctx.gp_levels <- mlr.Gp.level_trace;
@@ -204,7 +202,7 @@ let legal_stage =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design in
         let l =
-          Legal.run d ~pool:ctx.Ctx.pool ~arena:ctx.Ctx.arena ~extra_obstacles:ctx.Ctx.obstacles
+          Legal.run d ~pool:ctx.Ctx.pool ~extra_obstacles:ctx.Ctx.obstacles
             ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound ~soa:ctx.Ctx.soa ~cx:ctx.Ctx.cx
             ~cy:ctx.Ctx.cy ()
         in
@@ -329,9 +327,8 @@ let run_ctx ?observer ?(check = false) ~stages:stage_list (ctx : Ctx.t) =
       in
       (* schema-tolerant extras: congestion/steiner headline numbers ride
          the stage records without widening the core schema.  Every stage
-         additionally carries its Gc.quick_stat delta — the allocation
-         ledger behind the scratch-arena work (a stage that recycles its
-         buffers shows near-zero major Mwords here). *)
+         additionally carries its Gc.quick_stat delta, the stage's
+         allocation ledger. *)
       let gc_extra =
         [
           ( "gc_minor_mwords",

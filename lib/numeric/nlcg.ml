@@ -2,7 +2,15 @@ type problem = {
   n : int;
   eval : float array -> float;
   eval_grad : float array -> float array -> float;
+  g : float array;
+  g_prev : float array;
+  d : float array;
+  scratch : float array;
 }
+
+let problem ~n ~eval ~eval_grad =
+  let vec () = Array.make n 0.0 in
+  { n; eval; eval_grad; g = vec (); g_prev = vec (); d = vec (); scratch = vec () }
 
 type options = {
   max_iter : int;
@@ -22,7 +30,6 @@ let default_options =
   }
 
 type result = {
-  x : float array;
   f : float;
   iterations : int;
   grad_norm : float;
@@ -30,32 +37,12 @@ type result = {
   f_evals : int;
 }
 
-let minimize ?arena ?(options = default_options) p x0 =
-  if Array.length x0 <> p.n then invalid_arg "Nlcg.minimize: x0 size mismatch";
-  (* With an arena the five working vectors are recycled across calls —
-     the steady-state GP rounds' main residual allocation.  [x] is then
-     an arena buffer too: it escapes in the result, and stays valid only
-     until the next [minimize] against the same arena (the GP loop feeds
-     it straight back in as the next round's start point). *)
-  let alloc key =
-    match arena with
-    | Some a -> Dpp_util.Arena.floats a ("nlcg." ^ key) p.n
-    | None -> Array.make p.n 0.0
-  in
-  (* raw: x is fully overwritten by the blit below, and the recycled
-     buffer may BE [x0] (the previous call's result fed back in) — a
-     zero-fill would destroy it before the copy *)
-  let x =
-    match arena with
-    | Some a -> Dpp_util.Arena.floats_raw a "nlcg.x" p.n
-    | None -> Array.make p.n 0.0
-  in
-  if x != x0 then Array.blit x0 0 x 0 p.n;
+let minimize ?(options = default_options) p x =
+  if Array.length x <> p.n then invalid_arg "Nlcg.minimize: x size mismatch";
+  (* every working vector is written before it is read, so nothing
+     carries over from the problem's previous solve *)
+  let { g; g_prev; d; scratch; _ } = p in
   (match options.project with Some proj -> proj x | None -> ());
-  let g = alloc "g" in
-  let g_prev = alloc "g_prev" in
-  let d = alloc "d" in
-  let scratch = alloc "scratch" in
   let f_evals = ref 0 in
   let eval x =
     incr f_evals;
@@ -170,4 +157,4 @@ let minimize ?arena ?(options = default_options) p x0 =
       end
     end
   done;
-  { x; f = !f; iterations = !iter; grad_norm = !gnorm; converged = !converged; f_evals = !f_evals }
+  { f = !f; iterations = !iter; grad_norm = !gnorm; converged = !converged; f_evals = !f_evals }

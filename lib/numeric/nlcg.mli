@@ -2,16 +2,23 @@
     over a smooth unconstrained objective — the engine under global
     placement.  An optional projection hook keeps iterates inside the die. *)
 
-type problem = {
-  n : int;  (** number of variables *)
-  eval : float array -> float;  (** objective value (the line search's probe) *)
-  eval_grad : float array -> float array -> float;
-      (** [eval_grad x g] fills [g] with the gradient at [x] and returns
-          the objective value from the same sweep over the problem's
-          kernels.  The value must be bit-identical to [eval x]: the
-          optimizer takes the line search's value instead whenever the
-          accepted point was not moved by the projection. *)
-}
+type problem
+(** An objective over a fixed number of variables, together with the
+    four working vectors {!minimize} runs on: the gradient, the previous
+    gradient, the search direction and the line search's trial point.
+    They are allocated once, by {!val-problem}, so a loop that solves the
+    same problem round after round (the global placer's outer loop)
+    allocates them once.  A problem serves one {!minimize} at a time. *)
+
+val problem :
+  n:int -> eval:(float array -> float) -> eval_grad:(float array -> float array -> float) -> problem
+(** [problem ~n ~eval ~eval_grad] over [n] variables.  [eval x] is the
+    objective value (the line search's probe).  [eval_grad x g] fills [g]
+    with the gradient at [x] and returns the objective value from the
+    same sweep over the problem's kernels.  That value must be
+    bit-identical to [eval x]: the optimizer takes the line search's
+    value instead whenever the accepted point was not moved by the
+    projection. *)
 
 type options = {
   max_iter : int;
@@ -27,7 +34,6 @@ val default_options : options
     no projection. *)
 
 type result = {
-  x : float array;
   f : float;
   iterations : int;
   grad_norm : float;
@@ -35,13 +41,7 @@ type result = {
   f_evals : int;  (** calls of [eval] and [eval_grad] *)
 }
 
-val minimize : ?arena:Dpp_util.Arena.t -> ?options:options -> problem -> float array -> result
-(** [minimize p x0] starts from a copy of [x0].
-
-    With [~arena], the five working vectors come from the arena instead
-    of fresh allocation, making repeated solves of the same size (the GP
-    round loop) allocation-free.  [result.x] is then an arena buffer:
-    it remains valid only until the next [minimize] against the same
-    arena — which may receive it back as its [x0] (the GP loop does
-    exactly that).  Results are bit-identical with and without an
-    arena. *)
+val minimize : ?options:options -> problem -> float array -> result
+(** [minimize p x] improves [x] (of length [n]) in place, starting from
+    its current value (projected first when [options.project] is set).
+    It allocates no vector: the working vectors are [p]'s. *)

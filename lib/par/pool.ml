@@ -11,9 +11,18 @@ type t = {
   mutable helpers : unit Domain.t array;  (** spawned lazily, length nworkers - 1 *)
 }
 
+(* The chunk structure is the determinism contract: [chunk_count] is a
+   constant, so per-chunk partial sums reduced in ascending chunk order
+   give the same bits at every worker count. *)
+let chunk_count = 16
+
+(* [iter_chunks] hands worker [w] the chunks [w, w + nworkers, ...], so a
+   worker at or above [chunk_count] would never get one: the width is
+   capped there, which also bounds the domains and per-worker scratch a
+   client-chosen width can ask for *)
 let create ~nworkers =
   {
-    nworkers = max 1 nworkers;
+    nworkers = min chunk_count (max 1 nworkers);
     mutex = Mutex.create ();
     work = Condition.create ();
     idle = Condition.create ();
@@ -96,11 +105,6 @@ let run t f =
     Mutex.unlock t.mutex;
     match failure with Some exn -> raise exn | None -> ()
   end
-
-(* The chunk structure is the determinism contract: [chunk_count] is a
-   constant, so per-chunk partial sums reduced in ascending chunk order
-   give the same bits at every worker count. *)
-let chunk_count = 16
 
 let chunk_bounds ~n c = c * n / chunk_count, (c + 1) * n / chunk_count
 

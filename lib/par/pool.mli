@@ -20,8 +20,9 @@
 type t
 
 val create : nworkers:int -> t
-(** [create ~nworkers] builds a pool of [max 1 nworkers] workers.  No
-    domain is spawned until the first {!run} with [nworkers > 1]. *)
+(** [create ~nworkers] builds a pool of [nworkers] workers, clamped to
+    [1 .. {!chunk_count}]: a worker past the last chunk would never run.
+    No domain is spawned until the first {!run} with [nworkers > 1]. *)
 
 val nworkers : t -> int
 

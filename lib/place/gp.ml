@@ -80,26 +80,12 @@ let lambda_mult = 2.0
 
 let grad_l1 g = Array.fold_left (fun acc v -> acc +. abs_float v) 0.0 g
 
-let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
+let run ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
   let nc = Design.num_cells d in
-  (* Arena-backed working buffers: [afloats]/[aints] are zero-filled
-     drop-ins for [Array.make], [afloats_raw] is for buffers that are
-     fully overwritten before any read (a recycled buffer may alias this
-     run's own inputs, so those must not be pre-zeroed). *)
-  let afloats key n =
-    match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
-  in
-  let afloats_raw key n =
-    match arena with Some a -> Dpp_util.Arena.floats_raw a key n | None -> Array.make n 0.0
-  in
-  let aints key n =
-    match arena with Some a -> Dpp_util.Arena.ints a key n | None -> Array.make n 0
-  in
   (* rigid-group membership *)
   let rigid = Array.of_list cfg.rigid_groups in
   let ng = Array.length rigid in
-  let member_of = aints "gp.member_of" nc in
-  Array.fill member_of 0 nc (-1);
+  let member_of = Array.make nc (-1) in
   Array.iteri
     (fun j (dg : Dgroup.t) -> Array.iter (fun c -> member_of.(c) <- j) dg.Dgroup.cells)
     rigid;
@@ -153,17 +139,10 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
      trajectory stays independent of the worker count. *)
   let rt_on = cfg.routability && cfg.rt_interval > 0 in
   let rt_cells = if rt_on then Design.movable_ids d else [||] in
-  let inflate =
-    if rt_on then begin
-      let a = afloats_raw "gp.inflate" nc in
-      Array.fill a 0 nc 1.0;
-      a
-    end
-    else [||]
-  in
+  let inflate = if rt_on then Array.make nc 1.0 else [||] in
   let rt_budget = cfg.rt_max_inflate *. load_area in
   let rt_cell_max = 2.0 in
-  let gxc = afloats "gp.gxc" nc and gyc = afloats "gp.gyc" nc in
+  let gxc = Array.make nc 0.0 and gyc = Array.make nc 0.0 in
   let mu = ref 0.0 in
   let rt_field : (Rudy.t * float array) option ref = ref None in
   let rt_trace = ref [] in
@@ -235,12 +214,10 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
   in
   (* working copies of the full center arrays; fixed entries never
      change *)
-  let wx = afloats_raw "gp.wx" nc and wy = afloats_raw "gp.wy" nc in
-  Array.blit cx 0 wx 0 nc;
-  Array.blit cy 0 wy 0 nc;
-  let gx = afloats "gp.gx" nc and gy = afloats "gp.gy" nc in
-  let gxd = afloats "gp.gxd" nc and gyd = afloats "gp.gyd" nc in
-  let gxa = afloats "gp.gxa" nc and gya = afloats "gp.gya" nc in
+  let wx = Array.copy cx and wy = Array.copy cy in
+  let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
+  let gxd = Array.make nc 0.0 and gyd = Array.make nc 0.0 in
+  let gxa = Array.make nc 0.0 and gya = Array.make nc 0.0 in
   (* variable packing: [x of free cells, x of group origins,
                         y of free cells, y of group origins] *)
   let scatter v =
@@ -259,11 +236,8 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
     done
   in
   let die = d.Design.die in
-  let half_w = afloats_raw "gp.half_w" m and half_h = afloats_raw "gp.half_h" m in
-  for k = 0 to m - 1 do
-    half_w.(k) <- soa.Soa.width.(movable_free.(k)) /. 2.0;
-    half_h.(k) <- soa.Soa.height.(movable_free.(k)) /. 2.0
-  done;
+  let half_w = Array.map (fun i -> soa.Soa.width.(i) /. 2.0) movable_free in
+  let half_h = Array.map (fun i -> soa.Soa.height.(i) /. 2.0) movable_free in
   let project v =
     for k = 0 to m - 1 do
       let hw = half_w.(k) and hh = half_h.(k) in
@@ -349,19 +323,19 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
     gather g;
     f
   in
-  (* initial variable vector (every slot is written below) *)
-  let v0 = afloats_raw "gp.v0" (2 * nvar) in
+  (* the variable vector: every round's solve improves it in place *)
+  let v = Array.make (2 * nvar) 0.0 in
   for k = 0 to m - 1 do
-    v0.(k) <- cx.(movable_free.(k));
-    v0.(nvar + k) <- cy.(movable_free.(k))
+    v.(k) <- cx.(movable_free.(k));
+    v.(nvar + k) <- cy.(movable_free.(k))
   done;
   for j = 0 to ng - 1 do
     let ox, oy = Dgroup.origin_of_positions rigid.(j) ~cx ~cy in
-    v0.(m + j) <- ox;
-    v0.(nvar + m + j) <- oy
+    v.(m + j) <- ox;
+    v.(nvar + m + j) <- oy
   done;
-  project v0;
-  scatter v0;
+  project v;
+  scatter v;
   (* lambda / beta normalisation at the start point *)
   Array.fill gx 0 nc 0.0;
   Array.fill gy 0 nc 0.0;
@@ -379,8 +353,8 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
     let a_norm = grad_l1 gxa +. grad_l1 gya in
     beta := if a_norm > 0.0 then cfg.beta *. wl_grad_norm /. a_norm else 0.0
   end;
-  let problem = { Nlcg.n = 2 * nvar; eval; eval_grad } in
-  let v = ref v0 in
+  (* built once: the problem's working vectors serve every round *)
+  let problem = Nlcg.problem ~n:(2 * nvar) ~eval ~eval_grad in
   let trace = ref [] in
   let stop = ref false in
   let round = ref 0 in
@@ -392,11 +366,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
      over-spread designs that reach the target late).  The loop also stops
      once overflow stagnates, instead of letting lambda erase the
      wirelength term entirely. *)
-  (* raw + blit: the recycled best_x/best_y may be this run's own [cx]/[cy]
-     inputs when the caller loops placements through the same arena *)
-  let best_x = afloats_raw "gp.best_x" nc and best_y = afloats_raw "gp.best_y" nc in
-  Array.blit wx 0 best_x 0 nc;
-  Array.blit wy 0 best_y 0 nc;
+  let best_x = Array.copy wx and best_y = Array.copy wy in
   let best_score = ref infinity and best_ovf = ref infinity in
   (* With routability on, iterates also compete on their ACE congestion
      excess: without the term, best-seen would keep a pre-inflation
@@ -420,7 +390,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
   in
   (* post-solve RUDY measurement — every round when routability is on *)
   let rt_measure () =
-    let r = Rudy.compute ~pool:cfg.pool ?arena ~pins d ~cx:wx ~cy:wy in
+    let r = Rudy.compute ~pool:cfg.pool ~pins d ~cx:wx ~cy:wy in
     r, Rudy.stats r
   in
   (* steering: refresh the fixed congestion field, update the inflation
@@ -434,10 +404,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
   in
   let rt_steer (r : Rudy.t) (s : Rudy.stats) =
     let nb = Array.length r.Rudy.demand in
-    let p = afloats_raw "gp.rt_excess" nb in
-    for b = 0 to nb - 1 do
-      p.(b) <- max 0.0 ((r.Rudy.demand.(b) /. r.Rudy.supply) -. cfg.rt_overflow)
-    done;
+    let p = Array.init nb (fun b -> max 0.0 ((r.Rudy.demand.(b) /. r.Rudy.supply) -. cfg.rt_overflow)) in
     rt_field := Some (r, p);
     let clamp_ix v = max 0 (min (r.Rudy.nx - 1) v) in
     let clamp_iy v = max 0 (min (r.Rudy.ny - 1) v) in
@@ -504,9 +471,8 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
         project = Some project;
       }
     in
-    let r = Nlcg.minimize ?arena ~options problem !v in
-    v := r.Nlcg.x;
-    scatter !v;
+    let r = Nlcg.minimize ~options problem v in
+    scatter v;
     (* Overflow is measured on the free cells only: rigid arrays are ~100%
        dense by construction, so counting them would eat most of the
        overflow budget and stop the loop while the glue is still clumped.
@@ -518,7 +484,7 @@ let run ?arena ~(pins : Pins.t) (d : Design.t) cfg ~cx ~cy =
           Array.to_list
             (Array.mapi
                (fun j (dg : Dgroup.t) ->
-                 let ox = !v.(m + j) and oy = !v.(nvar + m + j) in
+                 let ox = v.(m + j) and oy = v.(nvar + m + j) in
                  Rect.make ~xl:ox ~yl:oy ~xh:(ox +. dg.Dgroup.width)
                    ~yh:(oy +. dg.Dgroup.height))
                rigid)
@@ -632,10 +598,9 @@ let coarse_config cfg =
    cold start — this is where the multilevel speedup comes from. *)
 let refine_config cfg = { cfg with rounds = min cfg.rounds (max 4 (cfg.rounds / 3)) }
 
-let run_multilevel ?arena ~pins (d : Design.t) cfg ~(levels : Dpp_coarsen.level list) ~cx
-    ~cy =
+let run_multilevel ~pins (d : Design.t) cfg ~(levels : Dpp_coarsen.level list) ~cx ~cy =
   match levels with
-  | [] -> { result = run ?arena ~pins d cfg ~cx ~cy; level_trace = [] }
+  | [] -> { result = run ~pins d cfg ~cx ~cy; level_trace = [] }
   | levels ->
     let larr = Array.of_list levels in
     let nl = Array.length larr in
@@ -644,7 +609,7 @@ let run_multilevel ?arena ~pins (d : Design.t) cfg ~(levels : Dpp_coarsen.level 
     coords.(0) <- (Array.copy cx, Array.copy cy);
     for k = 0 to nl - 1 do
       let fcx, fcy = coords.(k) in
-      coords.(k + 1) <- Dpp_coarsen.cluster_centers ?arena larr.(k) ~cx:fcx ~cy:fcy
+      coords.(k + 1) <- Dpp_coarsen.cluster_centers larr.(k) ~cx:fcx ~cy:fcy
     done;
     let trace = ref [] in
     (* coarsest-first: solve each level, prolongate into the next finer *)
@@ -671,8 +636,5 @@ let run_multilevel ?arena ~pins (d : Design.t) cfg ~(levels : Dpp_coarsen.level 
       Dpp_coarsen.interpolate lvl ~ccx:r.cx ~ccy:r.cy ~cx:fcx ~cy:fcy
     done;
     let fcx, fcy = coords.(0) in
-    (* only the flat refinement shares the arena: the coarse levels all
-       have different sizes, so recycling across them would just thrash
-       the buffers (their views are also per-level by construction) *)
-    let r = run ?arena ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
+    let r = run ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
     { result = r; level_trace = !trace }

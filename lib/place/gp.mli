@@ -100,7 +100,6 @@ type result = {
 }
 
 val run :
-  ?arena:Dpp_util.Arena.t ->
   pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->
@@ -111,12 +110,9 @@ val run :
     modified.
 
     [pins] is the pin view of [d] (the flow passes its context's); the
-    kernels scan the flat view inside it.  [arena] recycles the
-    working buffers — gradient banks, NLCG vectors, RUDY grids — so the
-    round loop does no steady-state allocation; the result's [cx]/[cy]
-    then live in the arena and stay valid only until the next [run]
-    against it (they may be fed back as the next start, which is
-    handled).  Results are bit-identical with and without an arena. *)
+    kernels scan the flat view inside it.  Every round solves one
+    {!Dpp_numeric.Nlcg.problem} built once per [run], so the rounds
+    share its working vectors and improve one variable vector in place. *)
 
 type level_info = {
   level : int;  (** 1 = first coarse level, larger = coarser *)
@@ -130,7 +126,6 @@ type level_info = {
 type ml_result = { result : result; level_trace : level_info list }
 
 val run_multilevel :
-  ?arena:Dpp_util.Arena.t ->
   pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   config ->

@@ -173,7 +173,7 @@ let pack (d : Design.t) (s : Soa.t) ~segments ~assignment ~target_cx ~cx =
    cursor, so it only fails when the die is genuinely overfull.  Within
    a row set, the search expands outward from the target row and stops
    once the vertical displacement alone exceeds the best cost found. *)
-let run (d : Design.t) ?(pool = Pool.serial) ?arena ?(extra_obstacles = [])
+let run (d : Design.t) ?(pool = Pool.serial) ?(extra_obstacles = [])
     ?(skip = fun _ -> false) ?bound ~soa:(s : Soa.t) ~cx ~cy () =
   let nc = Soa.num_cells s in
   let nrows = d.Design.num_rows in
@@ -220,17 +220,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?(extra_obstacles = [])
   if nrows = 0 then
     { assignment; cx = out_cx; cy = out_cy; failed = List.map snd todo }
   else begin
-    (* every store is reset below before any read, so recycling the
-       array across runs (the serve daemon's repeated legalizations) is
-       free; the key carries the row count so a dimension change misses *)
-    let stores =
-      match arena with
-      | Some a ->
-        Dpp_util.Arena.cached a
-          (Printf.sprintf "legal.stores.%d" nrows)
-          (fun () -> Array.init nrows (fun _ -> Intervals.create ()))
-      | None -> Array.init nrows (fun _ -> Intervals.create ())
-    in
+    let stores = Array.init nrows (fun _ -> Intervals.create ()) in
     (* best (cost, row, interval index, xl) over rows [lo, hi), expanding
        outward from the target row with the vertical-displacement prune *)
     let search_rows ~lo ~hi target_row w target_xl =

@@ -29,7 +29,6 @@ type t = {
 val run :
   Dpp_netlist.Design.t ->
   ?pool:Dpp_par.Pool.t ->
-  ?arena:Dpp_util.Arena.t ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
@@ -43,9 +42,7 @@ val run :
     (default {!Dpp_par.Pool.serial}) fans the chunk-local row assignment
     out over worker domains; the result does not depend on the worker
     count.  [soa] is the flat view of the design the sort keys and cell
-    widths are read from.  [arena] recycles the per-row free-interval
-    stores across runs (every store is reset before use, so the result
-    is bit-identical with or without one).
+    widths are read from.
 
     [bound] is the region-bounded mode behind incremental ECO
     re-placement: only rows overlapping the rectangle get free intervals

@@ -51,7 +51,9 @@ type job_spec = {
   src : design_src;
   mode : Dpp_core.Config.mode;
   check : bool;  (** run the stage-boundary oracles; failures fail the job *)
-  jobs : int;  (** worker-pool width for this job's kernels *)
+  jobs : int;
+      (** worker-pool width for this job's kernels, at most 16
+          ({!Dpp_par.Pool.chunk_count}); larger values run at 16 *)
   gp_rounds : int option;  (** config overrides; [None] keeps the default *)
   gp_inner_iters : int option;
   detail_passes : int option;

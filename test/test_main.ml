@@ -6,7 +6,6 @@ let () =
   Alcotest.run "dpp"
     [
       "util", Test_util.suite;
-      "arena", Test_arena.suite;
       "geom", Test_geom.suite;
       "netlist", Test_netlist.suite;
       "bookshelf", Test_bookshelf.suite;

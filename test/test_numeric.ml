@@ -186,14 +186,9 @@ let test_armijo_failure () =
 
 (* the fused entry point from a value and a gradient-only function *)
 let problem n eval grad =
-  {
-    Nlcg.n;
-    eval;
-    eval_grad =
-      (fun v g ->
-        grad v g;
-        eval v);
-  }
+  Nlcg.problem ~n ~eval ~eval_grad:(fun v g ->
+      grad v g;
+      eval v)
 
 let test_nlcg_quadratic_bowl () =
   let p =
@@ -203,9 +198,10 @@ let test_nlcg_quadratic_bowl () =
         g.(0) <- 2.0 *. (v.(0) -. 3.0);
         g.(1) <- 20.0 *. (v.(1) +. 1.0))
   in
-  let r = Nlcg.minimize p [| 0.0; 0.0 |] in
-  check_close 1e-3 "x0" 3.0 r.Nlcg.x.(0);
-  check_close 1e-3 "x1" (-1.0) r.Nlcg.x.(1);
+  let x = [| 0.0; 0.0 |] in
+  let r = Nlcg.minimize p x in
+  check_close 1e-3 "x0" 3.0 x.(0);
+  check_close 1e-3 "x1" (-1.0) x.(1);
   Alcotest.(check bool) "converged" true r.Nlcg.converged
 
 let test_nlcg_rosenbrock () =
@@ -220,32 +216,94 @@ let test_nlcg_rosenbrock () =
         g.(1) <- 200.0 *. b)
   in
   let options = { Nlcg.default_options with Nlcg.max_iter = 5000; f_tol = 0.0; grad_tol = 1e-7 } in
-  let r = Nlcg.minimize ~options p [| -1.2; 1.0 |] in
+  let x = [| -1.2; 1.0 |] in
+  ignore (Nlcg.minimize ~options p x : Nlcg.result);
   Alcotest.(check bool) "near optimum" true
-    (abs_float (r.Nlcg.x.(0) -. 1.0) < 1e-2 && abs_float (r.Nlcg.x.(1) -. 1.0) < 2e-2)
+    (abs_float (x.(0) -. 1.0) < 1e-2 && abs_float (x.(1) -. 1.0) < 2e-2)
 
 let test_nlcg_projection () =
   (* minimise (x-5)^2 constrained to x <= 2 by projection *)
   let p = problem 1 (fun v -> (v.(0) -. 5.0) ** 2.0) (fun v g -> g.(0) <- 2.0 *. (v.(0) -. 5.0)) in
   let project v = if v.(0) > 2.0 then v.(0) <- 2.0 in
   let options = { Nlcg.default_options with Nlcg.project = Some project } in
-  let r = Nlcg.minimize ~options p [| 0.0 |] in
-  Alcotest.(check bool) "at bound" true (r.Nlcg.x.(0) <= 2.0 +. 1e-9);
-  Alcotest.(check bool) "reaches bound" true (r.Nlcg.x.(0) > 1.9)
+  let x = [| 0.0 |] in
+  ignore (Nlcg.minimize ~options p x : Nlcg.result);
+  Alcotest.(check bool) "at bound" true (x.(0) <= 2.0 +. 1e-9);
+  Alcotest.(check bool) "reaches bound" true (x.(0) > 1.9)
 
 let test_nlcg_monotone =
   QCheck.Test.make ~name:"nlcg decreases a random convex quadratic" ~count:50
     QCheck.(pair (float_range 0.5 10.0) (float_range (-5.0) 5.0))
     (fun (a, c) ->
-      let p =
-        problem 1 (fun v -> a *. ((v.(0) -. c) ** 2.0)) (fun v g -> g.(0) <- 2.0 *. a *. (v.(0) -. c))
-      in
-      let f0 = p.Nlcg.eval [| 100.0 |] in
+      let eval v = a *. ((v.(0) -. c) ** 2.0) in
+      let p = problem 1 eval (fun v g -> g.(0) <- 2.0 *. a *. (v.(0) -. c)) in
+      let f0 = eval [| 100.0 |] in
       let options = { Nlcg.default_options with Nlcg.max_iter = 500; f_tol = 0.0 } in
-      let r = Nlcg.minimize ~options p [| 100.0 |] in
+      let x = [| 100.0 |] in
+      let r = Nlcg.minimize ~options p x in
       (* must make substantial progress toward the optimum (the Armijo-only
          line search is deliberately cheap, not exact) *)
-      r.Nlcg.f <= f0 +. 1e-9 && (r.Nlcg.f <= 1e-3 *. f0 || abs_float (r.Nlcg.x.(0) -. c) < 1.0))
+      r.Nlcg.f <= f0 +. 1e-9 && (r.Nlcg.f <= 1e-3 *. f0 || abs_float (x.(0) -. c) < 1.0))
+
+(* A separable quadratic over [n] variables with per-variable curvature,
+   so the solve takes several CG iterations. *)
+let bowl n =
+  let eval v =
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      let t = v.(i) -. float_of_int (i mod 7) in
+      acc := !acc +. (float_of_int (1 + (i mod 5)) *. t *. t)
+    done;
+    !acc
+  in
+  let grad v g =
+    for i = 0 to n - 1 do
+      g.(i) <- 2.0 *. float_of_int (1 + (i mod 5)) *. (v.(i) -. float_of_int (i mod 7))
+    done
+  in
+  problem n eval grad
+
+let bowl_options = { Nlcg.default_options with Nlcg.max_iter = 8; f_tol = 0.0 }
+
+(* the working vectors a problem keeps between solves must not carry
+   state: a second solve on a used problem reproduces a fresh one *)
+let test_nlcg_reused_problem () =
+  let n = 64 in
+  let start () = Array.init n (fun i -> float_of_int (i mod 11) -. 5.0) in
+  let reused = bowl n in
+  let warm = start () in
+  ignore (Nlcg.minimize ~options:bowl_options reused warm : Nlcg.result);
+  let x_fresh = start () and x_reused = start () in
+  let r_fresh = Nlcg.minimize ~options:bowl_options (bowl n) x_fresh in
+  let r_reused = Nlcg.minimize ~options:bowl_options reused x_reused in
+  Alcotest.(check bool) "same iterate" true (Array.for_all2 Float.equal x_fresh x_reused);
+  Alcotest.(check bool) "same value" true (Float.equal r_fresh.Nlcg.f r_reused.Nlcg.f);
+  Alcotest.(check int) "same evaluations" r_fresh.Nlcg.f_evals r_reused.Nlcg.f_evals
+
+(* major words allocated by [f], counted across a minor collection on
+   each side so direct major allocations are settled in the counter *)
+let major_words f =
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  f ();
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.major_words -. w0
+
+(* the GP round loop solves one problem many times: only the first
+   solve's problem pays for the working vectors *)
+let test_nlcg_reuse_allocation () =
+  let n = 10_000 in
+  let one_vector = major_words (fun () -> ignore (Sys.opaque_identity (Array.make n 0.0))) in
+  Alcotest.(check bool) "the counter sees one vector" true (one_vector >= float_of_int n);
+  let p = bowl n in
+  let x = Array.init n (fun i -> float_of_int (i mod 11) -. 5.0) in
+  let solve () = ignore (Nlcg.minimize ~options:bowl_options p x : Nlcg.result) in
+  solve ();
+  let second = major_words solve in
+  Alcotest.(check bool)
+    (Printf.sprintf "second solve allocates %.0f major words, under one vector" second)
+    true
+    (second < float_of_int n)
 
 let suite =
   [
@@ -264,5 +322,7 @@ let suite =
     Alcotest.test_case "nlcg bowl" `Quick test_nlcg_quadratic_bowl;
     Alcotest.test_case "nlcg rosenbrock" `Quick test_nlcg_rosenbrock;
     Alcotest.test_case "nlcg projection" `Quick test_nlcg_projection;
+    Alcotest.test_case "nlcg reused problem matches fresh" `Quick test_nlcg_reused_problem;
+    Alcotest.test_case "nlcg reuse allocates no vector" `Quick test_nlcg_reuse_allocation;
     QCheck_alcotest.to_alcotest test_nlcg_monotone;
   ]

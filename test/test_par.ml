@@ -123,6 +123,19 @@ let test_pool_run_each_worker () =
         (Array.for_all (fun c -> c = 1) hits))
     worker_counts
 
+(* a worker at or above [chunk_count] would never receive a chunk, so
+   the width is capped there; creating a pool spawns nothing, so the cap
+   is checked without starting a domain *)
+let test_pool_width_capped () =
+  List.iter
+    (fun (asked, got) ->
+      Alcotest.(check int)
+        (Printf.sprintf "nworkers %d" asked)
+        got
+        (Pool.nworkers (Pool.create ~nworkers:asked)))
+    [ -3, 1; 0, 1; 1, 1; 8, 8; Pool.chunk_count, Pool.chunk_count; 17, Pool.chunk_count;
+      100_000, Pool.chunk_count ]
+
 exception Boom
 
 let test_pool_propagates_exceptions () =
@@ -309,6 +322,29 @@ let test_flow_trajectory_jobs_independent () =
   check_bits "stage hpwl series" (stage_hpwl r1) (stage_hpwl r4);
   check_float "final hpwl" r1.Flow.hpwl_final r4.Flow.hpwl_final
 
+(* ----- concurrent global placements ----- *)
+
+let gp_cfg = { Gp.default_config with Gp.rounds = 5; inner_iters = 15 }
+
+let run_gp d =
+  let qp = Dpp_place.Qp.run d in
+  let r = Gp.run ~pins:(Pins.build d) d gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
+  r.Gp.cx, r.Gp.cy
+
+(* two domains place different designs at once, as two serve workers
+   do: each run owns its working arrays, so both trajectories equal
+   their serial references *)
+let test_concurrent_gp_runs () =
+  let d1 = Tutil.random_design ~cells:35 ~nets:45 11 in
+  let d2 = Tutil.random_design ~cells:28 ~nets:36 13 in
+  let rcx1, rcy1 = run_gp d1 and rcx2, rcy2 = run_gp d2 in
+  let w1 = Domain.spawn (fun () -> run_gp d1) and w2 = Domain.spawn (fun () -> run_gp d2) in
+  let cx1, cy1 = Domain.join w1 and cx2, cy2 = Domain.join w2 in
+  check_bits "domain 1 cx" rcx1 cx1;
+  check_bits "domain 1 cy" rcy1 cy1;
+  check_bits "domain 2 cx" rcx2 cx2;
+  check_bits "domain 2 cy" rcy2 cy2
+
 (* ----- back-end stages: Legal + Detail + Flip, any worker count ----- *)
 
 let test_backend_stages_worker_count_independent () =
@@ -349,6 +385,7 @@ let suite =
     Alcotest.test_case "iter_chunks visits each index once" `Quick
       test_pool_iter_chunks_visits_once;
     Alcotest.test_case "run reaches every worker" `Quick test_pool_run_each_worker;
+    Alcotest.test_case "pool width capped at chunk count" `Quick test_pool_width_capped;
     Alcotest.test_case "worker exceptions propagate" `Quick test_pool_propagates_exceptions;
     Alcotest.test_case "LSE kernels bit-exact vs serial" `Quick test_lse_kernels_bit_exact;
     Alcotest.test_case "bell kernels worker-count independent" `Quick
@@ -362,4 +399,5 @@ let suite =
       test_backend_stages_worker_count_independent;
     Alcotest.test_case "flow trajectory independent of -jobs" `Slow
       test_flow_trajectory_jobs_independent;
+    Alcotest.test_case "concurrent gp runs match serial" `Quick test_concurrent_gp_runs;
   ]

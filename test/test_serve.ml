@@ -604,6 +604,30 @@ let test_snapshot_codec () =
   Alcotest.(check bool) "snapshot encode/decode round-trips" true
     (Snapshot.decode (Snapshot.encode s) = s)
 
+(* a spool record that does not fit the design is refused at restore,
+   naming the field, before any stage can trip over it *)
+let test_snapshot_restore_rejects_misfit () =
+  let d = tiny_design () in
+  let fresh () = Flow.context d fast_cfg in
+  let s = Snapshot.capture ~stage:"legal" (fresh ()) in
+  let n = Array.length s.Snapshot.cx in
+  Snapshot.restore s (fresh ());
+  let rejects field bad =
+    match Snapshot.restore bad (fresh ()) with
+    | () -> Alcotest.failf "a snapshot with a misfit %s was installed" field
+    | exception Invalid_argument msg ->
+      let prefix = Printf.sprintf "Snapshot.restore: %s " field in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s" msg field)
+        true
+        (String.starts_with ~prefix msg)
+  in
+  rejects "cy" { s with Snapshot.cy = Array.sub s.Snapshot.cy 0 (n - 1) };
+  rejects "assignment" { s with Snapshot.assignment = Array.make (n + 1) 0 };
+  rejects "skip_ids" { s with Snapshot.skip_ids = [| n |] };
+  rejects "flip_skip_ids" { s with Snapshot.flip_skip_ids = [| -1 |] };
+  rejects "failed" { s with Snapshot.failed = [ 0; n ] }
+
 (* ----- suite ----- *)
 
 let suite =
@@ -632,4 +656,6 @@ let suite =
     Alcotest.test_case "fault kill after legal resumes" `Slow test_kill_after_legal;
     Alcotest.test_case "fault kill after gp reruns" `Slow test_kill_after_gp;
     Alcotest.test_case "snapshot codec" `Quick test_snapshot_codec;
+    Alcotest.test_case "snapshot restore rejects misfit" `Quick
+      test_snapshot_restore_rejects_misfit;
   ]
