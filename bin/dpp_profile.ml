@@ -1,9 +1,13 @@
 (* Kernel-level profiler for the GP hot path: times each cost kernel in
-   isolation over the generated XL presets and reports wall-clock plus
-   GC allocation deltas.  This is the measurement harness behind the
-   numbers in DESIGN.md ("Profiling methodology") and the CI perf guard —
-   the flow's end-to-end numbers come from `bench -e XL`; this tool
-   answers *where inside a GP round* the time goes. *)
+   isolation over a catalogue design (Table-1, XL or rt_channel, each at
+   its own seed) and reports wall-clock plus GC allocation deltas.
+
+   Usage: dpp_profile [PRESET [REPS [JOBS]]]   (defaults: xl100k 5 1)
+
+   This is the measurement harness behind the numbers in DESIGN.md
+   ("Profiling methodology") and the CI perf guard — the flow's
+   end-to-end numbers come from `bench -e XL`; this tool answers *where
+   inside a GP round* the time goes. *)
 
 module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
@@ -28,20 +32,23 @@ type sample = {
 let time_kernel ~reps name f =
   (* one warmup rep so lazy setup does not pollute the measurement *)
   let v0 = f () in
-  let s0 = Gc.quick_stat () in
+  (* the words as [Flow]'s stage ledger reads them: [Gc.quick_stat] on
+     OCaml 5.1 misses the minor heap's current fill and words allocated
+     straight into the major heap since the last GC slice *)
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
   let t0 = Unix.gettimeofday () in
   let v = ref v0 in
   for _ = 1 to reps do
     v := f ()
   done;
   let t1 = Unix.gettimeofday () in
-  let s1 = Gc.quick_stat () in
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
   let r = float_of_int reps in
   {
     name;
     wall_s = (t1 -. t0) /. r;
-    minor_mw = (s1.Gc.minor_words -. s0.Gc.minor_words) /. r /. 1e6;
-    major_mw = (s1.Gc.major_words -. s0.Gc.major_words) /. r /. 1e6;
+    minor_mw = (minor1 -. minor0) /. r /. 1e6;
+    major_mw = (major1 -. major0) /. r /. 1e6;
     value = !v;
   }
 
@@ -50,9 +57,12 @@ let () =
   let reps = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 5 in
   let jobs = if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 1 in
   let d =
-    match Dpp_gen.Xl.by_name ~seed:1 preset with
+    match Dpp_gen.Catalog.design preset with
     | Some d -> d
-    | None -> failwith ("unknown XL preset: " ^ preset)
+    | None ->
+      Printf.eprintf "dpp_profile: unknown preset %s (one of: %s)\n" preset
+        (String.concat " " Dpp_gen.Catalog.names);
+      exit 2
   in
   let pool = Pool.create ~nworkers:jobs in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->

@@ -301,9 +301,11 @@ let run_ctx ?observer ?(check = false) ~stages:stage_list (ctx : Ctx.t) =
   List.iter
     (fun stage ->
       let g0 = Gc.quick_stat () in
+      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
       let t0 = Unix.gettimeofday () in
       let _ = stage.run ctx in
       let wall = Unix.gettimeofday () -. t0 in
+      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
       let g1 = Gc.quick_stat () in
       let hpwl_after = Ctx.hpwl ctx in
       let overflow =
@@ -327,14 +329,18 @@ let run_ctx ?observer ?(check = false) ~stages:stage_list (ctx : Ctx.t) =
       in
       (* schema-tolerant extras: congestion/steiner headline numbers ride
          the stage records without widening the core schema.  Every stage
-         additionally carries its Gc.quick_stat delta, the stage's
-         allocation ledger. *)
+         additionally carries its allocation ledger: the words the calling
+         domain allocated and the major collections.  On OCaml 5.1
+         [Gc.quick_stat] counts words only up to the last collection or
+         major slice, so the words come from [Gc.minor_words] (which
+         counts the minor heap's current fill) and [Gc.counters]'s major
+         words (which count words allocated straight into the major heap
+         since the last slice; its minor words undercount that fill
+         eightfold). *)
       let gc_extra =
         [
-          ( "gc_minor_mwords",
-            Json.Num ((g1.Gc.minor_words -. g0.Gc.minor_words) /. 1e6) );
-          ( "gc_major_mwords",
-            Json.Num ((g1.Gc.major_words -. g0.Gc.major_words) /. 1e6) );
+          "gc_minor_mwords", Json.Num ((minor1 -. minor0) /. 1e6);
+          "gc_major_mwords", Json.Num ((major1 -. major0) /. 1e6);
           ( "gc_majors",
             Json.Num (float_of_int (g1.Gc.major_collections - g0.Gc.major_collections)) );
         ]

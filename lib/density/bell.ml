@@ -14,6 +14,8 @@ type t = {
       (** the uninflated normalizers; [normalizer] is this array scaled by
           the routability loop's per-cell inflation factors *)
   target : float array;  (** per bin *)
+  bin_cx : float array;  (** [Grid.bin_center_x] per column *)
+  bin_cy : float array;  (** [Grid.bin_center_y] per row *)
   phi : float array;  (** scratch bin field *)
   tx_row : float array;  (** per-column theta row, hoisted across the window's rows *)
   dtx_row : float array;  (** per-column theta' row (gradient kernels) *)
@@ -92,6 +94,8 @@ let of_soa (s : Soa.t) ~grid ~target_density =
     normalizer;
     base_normalizer = Array.copy normalizer;
     target;
+    bin_cx = Array.init grid.Grid.nx (Grid.bin_center_x grid);
+    bin_cy = Array.init grid.Grid.ny (Grid.bin_center_y grid);
     phi = Array.make (Array.length grid.Grid.capacity) 0.0;
     tx_row = Array.make grid.Grid.nx 0.0;
     dtx_row = Array.make grid.Grid.nx 0.0;
@@ -121,8 +125,26 @@ let create (d : Design.t) ~grid ~target_density =
 (* The hot kernels below inline their window walks directly — a closure
    callback taking float arguments (the old [iter_window] helper) boxes
    them on every bin visit, which used to dominate the kernels'
-   allocation.  lib/refkernels keeps an independent closure-based copy of
-   the window walk as the equivalence oracle. *)
+   allocation.  For the same reason they call nothing in another module
+   per cell or bin: such a call is never inlined under opaque
+   compilation, and a float it returns is boxed.  The window bounds are
+   [Grid.range_of_interval]'s expressions without its tuple, clamped with
+   int comparisons (its polymorphic [max]/[min] are calls per bound),
+   and bin centres come from [bin_cx]/[bin_cy], filled by
+   [Grid.bin_center_x]/[_y]: the same floats.  lib/refkernels keeps an
+   independent closure-based copy of the window walk as the equivalence
+   oracle. *)
+
+let[@inline] clamp_bin ~n a =
+  let m = if n - 1 <= a then n - 1 else a in
+  if 0 >= m then 0 else m
+
+(* first and last bin of the window [lo, hi) along one axis *)
+let[@inline] first_bin ~lo ~origin ~step ~n =
+  clamp_bin ~n (int_of_float (floor ((lo -. origin) /. step)))
+
+let[@inline] last_bin ~hi ~origin ~step ~n =
+  clamp_bin ~n (int_of_float (ceil ((hi -. origin) /. step)) - 1)
 
 (* Scatter one cell's bell contribution into [phi].  The per-column theta
    values are hoisted into [tx_row] once per cell instead of being
@@ -132,19 +154,16 @@ let create (d : Design.t) ~grid ~target_density =
 let scatter_cell t ~(tx_row : float array) (phi : float array) i x y cv =
   let g = t.grid in
   let rx = t.radius_x.(i) and ry = t.radius_y.(i) in
-  let ix0, ix1 =
-    Grid.range_of_interval ~lo:(x -. rx) ~hi:(x +. rx) ~origin:g.Grid.die.Rect.xl
-      ~step:g.Grid.bin_w ~n:g.Grid.nx
-  in
-  let iy0, iy1 =
-    Grid.range_of_interval ~lo:(y -. ry) ~hi:(y +. ry) ~origin:g.Grid.die.Rect.yl
-      ~step:g.Grid.bin_h ~n:g.Grid.ny
-  in
+  let xl = g.Grid.die.Rect.xl and yl = g.Grid.die.Rect.yl in
+  let ix0 = first_bin ~lo:(x -. rx) ~origin:xl ~step:g.Grid.bin_w ~n:g.Grid.nx in
+  let ix1 = last_bin ~hi:(x +. rx) ~origin:xl ~step:g.Grid.bin_w ~n:g.Grid.nx in
+  let iy0 = first_bin ~lo:(y -. ry) ~origin:yl ~step:g.Grid.bin_h ~n:g.Grid.ny in
+  let iy1 = last_bin ~hi:(y +. ry) ~origin:yl ~step:g.Grid.bin_h ~n:g.Grid.ny in
   for ix = ix0 to ix1 do
-    tx_row.(ix) <- theta ~r:rx (x -. Grid.bin_center_x g ix)
+    tx_row.(ix) <- theta ~r:rx (x -. t.bin_cx.(ix))
   done;
   for iy = iy0 to iy1 do
-    let ty = theta ~r:ry (y -. Grid.bin_center_y g iy) in
+    let ty = theta ~r:ry (y -. t.bin_cy.(iy)) in
     if ty > 0.0 then begin
       let row = iy * g.Grid.nx in
       for ix = ix0 to ix1 do
@@ -156,9 +175,10 @@ let scatter_cell t ~(tx_row : float array) (phi : float array) i x y cv =
 
 let fill_phi t ~cx ~cy =
   Array.fill t.phi 0 (Array.length t.phi) 0.0;
-  Array.iter
-    (fun i -> scatter_cell t ~tx_row:t.tx_row t.phi i cx.(i) cy.(i) t.normalizer.(i))
-    t.movable
+  for k = 0 to Array.length t.movable - 1 do
+    let i = t.movable.(k) in
+    scatter_cell t ~tx_row:t.tx_row t.phi i cx.(i) cy.(i) t.normalizer.(i)
+  done
 
 let penalty t =
   let acc = ref 0.0 in
@@ -181,21 +201,18 @@ let grad_cell t ~(tx_row : float array) ~(dtx_row : float array) i x y cv ~(gx :
     ~(gy : float array) =
   let g = t.grid in
   let rx = t.radius_x.(i) and ry = t.radius_y.(i) in
-  let ix0, ix1 =
-    Grid.range_of_interval ~lo:(x -. rx) ~hi:(x +. rx) ~origin:g.Grid.die.Rect.xl
-      ~step:g.Grid.bin_w ~n:g.Grid.nx
-  in
-  let iy0, iy1 =
-    Grid.range_of_interval ~lo:(y -. ry) ~hi:(y +. ry) ~origin:g.Grid.die.Rect.yl
-      ~step:g.Grid.bin_h ~n:g.Grid.ny
-  in
+  let xl = g.Grid.die.Rect.xl and yl = g.Grid.die.Rect.yl in
+  let ix0 = first_bin ~lo:(x -. rx) ~origin:xl ~step:g.Grid.bin_w ~n:g.Grid.nx in
+  let ix1 = last_bin ~hi:(x +. rx) ~origin:xl ~step:g.Grid.bin_w ~n:g.Grid.nx in
+  let iy0 = first_bin ~lo:(y -. ry) ~origin:yl ~step:g.Grid.bin_h ~n:g.Grid.ny in
+  let iy1 = last_bin ~hi:(y +. ry) ~origin:yl ~step:g.Grid.bin_h ~n:g.Grid.ny in
   for ix = ix0 to ix1 do
-    let dx = x -. Grid.bin_center_x g ix in
+    let dx = x -. t.bin_cx.(ix) in
     tx_row.(ix) <- theta ~r:rx dx;
     dtx_row.(ix) <- theta_deriv ~r:rx dx
   done;
   for iy = iy0 to iy1 do
-    let dy = y -. Grid.bin_center_y g iy in
+    let dy = y -. t.bin_cy.(iy) in
     let ty = theta ~r:ry dy in
     if ty > 0.0 then begin
       let dty = theta_deriv ~r:ry dy in
@@ -214,11 +231,10 @@ let grad_cell t ~(tx_row : float array) ~(dtx_row : float array) i x y cv ~(gx :
 
 let value_grad t ~cx ~cy ~gx ~gy =
   fill_phi t ~cx ~cy;
-  Array.iter
-    (fun i ->
-      grad_cell t ~tx_row:t.tx_row ~dtx_row:t.dtx_row i cx.(i) cy.(i) t.normalizer.(i) ~gx
-        ~gy)
-    t.movable;
+  for k = 0 to Array.length t.movable - 1 do
+    let i = t.movable.(k) in
+    grad_cell t ~tx_row:t.tx_row ~dtx_row:t.dtx_row i cx.(i) cy.(i) t.normalizer.(i) ~gx ~gy
+  done;
   penalty t
 
 let bin_potential t ~cx ~cy =

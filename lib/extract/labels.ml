@@ -21,14 +21,15 @@ let mix = Signature.mix
 let iter_pairs (s : Soa.t) (nc : Netclass.t) cls f =
   for n = 0 to Soa.num_nets s - 1 do
     if Netclass.kind nc n = Netclass.Data then begin
-      let lo = I32.uget s.Soa.net_pin_off n and hi = I32.uget s.Soa.net_pin_off (n + 1) - 1 in
+      let lo = Int32.to_int (I32.uget s.Soa.net_pin_off n)
+      and hi = Int32.to_int (I32.uget s.Soa.net_pin_off (n + 1)) - 1 in
       for a = lo to hi do
-        let p = I32.uget s.Soa.net_pin a in
-        let u = I32.uget s.Soa.pin_cell p in
+        let p = Int32.to_int (I32.uget s.Soa.net_pin a) in
+        let u = Int32.to_int (I32.uget s.Soa.pin_cell p) in
         if cls.(u) >= 0 then
           for b = lo to hi do
-            let q = I32.uget s.Soa.net_pin b in
-            let v = I32.uget s.Soa.pin_cell q in
+            let q = Int32.to_int (I32.uget s.Soa.net_pin b) in
+            let v = Int32.to_int (I32.uget s.Soa.pin_cell q) in
             if p <> q && u <> v && cls.(v) >= 0 then f u p v q
           done
       done

@@ -86,15 +86,21 @@ let compute (s : Soa.t) (nc : Netclass.t) ~iterations =
            classes; fanout inside a bit-sliced structure is replicated by
            construction. *)
         let k = ref 0 in
-        for a = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-          let p = I32.uget s.Soa.cell_pin a in
-          let n = I32.uget s.Soa.pin_net p in
+        for
+          a = Int32.to_int (I32.uget s.Soa.cell_pin_off i)
+          to Int32.to_int (I32.uget s.Soa.cell_pin_off (i + 1)) - 1
+        do
+          let p = Int32.to_int (I32.uget s.Soa.cell_pin a) in
+          let n = Int32.to_int (I32.uget s.Soa.pin_net p) in
           if I8.uget s.Soa.pin_dir p = output && n >= 0 && Netclass.kind nc n = Netclass.Data
           then begin
             let h = mix (mix 5 pcls.(p)) (degree_bucket nc.Netclass.movable_degree.(n)) in
-            for b = I32.uget s.Soa.net_pin_off n to I32.uget s.Soa.net_pin_off (n + 1) - 1 do
-              let q = I32.uget s.Soa.net_pin b in
-              let j = I32.uget s.Soa.pin_cell q in
+            for
+              b = Int32.to_int (I32.uget s.Soa.net_pin_off n)
+              to Int32.to_int (I32.uget s.Soa.net_pin_off (n + 1)) - 1
+            do
+              let q = Int32.to_int (I32.uget s.Soa.net_pin b) in
+              let j = Int32.to_int (I32.uget s.Soa.pin_cell q) in
               if j <> i && cur.(j) >= 0 then begin
                 if !k = Array.length !tuples then
                   tuples := Array.append !tuples !tuples;

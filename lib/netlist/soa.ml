@@ -85,7 +85,7 @@ let guard_pin_count ~name counted =
 let cell_net_csr ~nc ~nn ~net_pin_off ~net_pin ~pin_cell =
   let iter_pin_cells n f =
     for k = I32.get net_pin_off n to I32.get net_pin_off (n + 1) - 1 do
-      f (I32.uget pin_cell (I32.uget net_pin k))
+      f (Int32.to_int (I32.uget pin_cell (Int32.to_int (I32.uget net_pin k))))
     done
   in
   let last = Array.make nc (-1) in
@@ -121,7 +121,7 @@ let cell_net_csr ~nc ~nn ~net_pin_off ~net_pin ~pin_cell =
   let fill = Array.init nn (fun n -> I32.get net_cell_off n) in
   for c = 0 to nc - 1 do
     for k = I32.get cell_net_off c to I32.get cell_net_off (c + 1) - 1 do
-      let n = I32.uget cell_net k in
+      let n = Int32.to_int (I32.uget cell_net k) in
       I32.set net_cell fill.(n) c;
       fill.(n) <- fill.(n) + 1
     done
@@ -277,18 +277,26 @@ let to_design t =
 let num_cells t = t.num_cells
 let num_nets t = t.num_nets
 let num_pins t = t.num_pins
-let net_degree t n = I32.uget t.net_pin_off (n + 1) - I32.uget t.net_pin_off n
+let net_degree t n =
+  Int32.to_int (I32.uget t.net_pin_off (n + 1)) - Int32.to_int (I32.uget t.net_pin_off n)
 
-let net_cell_count t n = I32.uget t.net_cell_off (n + 1) - I32.uget t.net_cell_off n
+let net_cell_count t n =
+  Int32.to_int (I32.uget t.net_cell_off (n + 1)) - Int32.to_int (I32.uget t.net_cell_off n)
 
 let iter_cells_of_net t n f =
-  for k = I32.uget t.net_cell_off n to I32.uget t.net_cell_off (n + 1) - 1 do
-    f (I32.uget t.net_cell k)
+  for
+    k = Int32.to_int (I32.uget t.net_cell_off n)
+    to Int32.to_int (I32.uget t.net_cell_off (n + 1)) - 1
+  do
+    f (Int32.to_int (I32.uget t.net_cell k))
   done
 
 let iter_nets_of_cell t i f =
-  for k = I32.uget t.cell_net_off i to I32.uget t.cell_net_off (i + 1) - 1 do
-    f (I32.uget t.cell_net k)
+  for
+    k = Int32.to_int (I32.uget t.cell_net_off i)
+    to Int32.to_int (I32.uget t.cell_net_off (i + 1)) - 1
+  do
+    f (Int32.to_int (I32.uget t.cell_net k))
   done
 
 let max_net_degree t =

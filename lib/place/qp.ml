@@ -39,8 +39,8 @@ let run_with ~seed ~(soa : Soa.t) (d : Design.t) =
       | false, false -> ()
     in
     for n = 0 to Soa.num_nets soa - 1 do
-      let base = I32.uget soa.Soa.net_cell_off n in
-      let cell a = I32.uget soa.Soa.net_cell (base + a) in
+      let base = Int32.to_int (I32.uget soa.Soa.net_cell_off n) in
+      let cell a = Int32.to_int (I32.uget soa.Soa.net_cell (base + a)) in
       let k = Soa.net_cell_count soa n in
       if k >= 2 then begin
         let weight = soa.Soa.net_weight.(n) in

@@ -96,9 +96,9 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
    coordinates for the same net id, bit for bit and in the same order *)
 let unchanged (r : nets) ~px ~py ~lo ~k n =
   n < F64.length r.len
-  && I32.uget r.pin_off (n + 1) - I32.uget r.pin_off n = k
+  && Int32.to_int (I32.uget r.pin_off (n + 1)) - Int32.to_int (I32.uget r.pin_off n) = k
   &&
-  let rlo = I32.uget r.pin_off n in
+  let rlo = Int32.to_int (I32.uget r.pin_off n) in
   let rec go i =
     i = k
     || same_bits (F64.uget px (lo + i)) (F64.uget r.px (rlo + i))
@@ -112,16 +112,19 @@ let measure t ~cx ~cy ~reuse =
   let nn = Dpp_netlist.Soa.num_nets s in
   (* the netlist view's own net->pin offsets: never mutated, so shared *)
   let pin_off = s.Dpp_netlist.Soa.net_pin_off and net_pin = s.Dpp_netlist.Soa.net_pin in
-  let np = I32.uget pin_off nn in
+  let np = Int32.to_int (I32.uget pin_off nn) in
   let px = F64.make np 0.0 and py = F64.make np 0.0 and len = F64.make nn 0.0 in
   let acc = ref 0.0 in
   for n = 0 to nn - 1 do
-    let lo = I32.uget pin_off n in
-    let k = I32.uget pin_off (n + 1) - lo in
+    let lo = Int32.to_int (I32.uget pin_off n) in
+    let k = Int32.to_int (I32.uget pin_off (n + 1)) - lo in
+    (* [Pins.load_net]'s pin coordinates, written out: a function from
+       another module would cost a call and a boxed float per pin *)
     for i = 0 to k - 1 do
-      let p = I32.uget net_pin (lo + i) in
-      F64.uset px (lo + i) (Pins.pin_x t ~cx p);
-      F64.uset py (lo + i) (Pins.pin_y t ~cy p)
+      let p = Int32.to_int (I32.uget net_pin (lo + i)) in
+      let c = Int32.to_int (I32.uget t.Pins.pin_cell p) in
+      F64.uset px (lo + i) (cx.(c) +. t.Pins.off_x.(p));
+      F64.uset py (lo + i) (cy.(c) +. t.Pins.off_y.(p))
     done;
     F64.uset len n
       (if unchanged reuse ~px ~py ~lo ~k n then F64.uget reuse.len n

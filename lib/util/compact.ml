@@ -11,9 +11,14 @@
    are what non-kernel code should use; [uget]/[uset] compile to a bare
    load/store (plus sign-extension) and are for the hot kernels that
    iterate CSR ranges whose bounds are established by construction.
-   All of them exchange plain [int]/[float] values, so a kernel ported
-   from a boxed [int array] reads identically and — the values being
-   exact — produces bit-identical floats.
+   They are [external] primitives rather than functions: a build that
+   compiles each module opaquely (dune's dev profile passes [-opaque])
+   never inlines a function from another module, so a plain [let uget]
+   would cost every CSR read a closure call.  A primitive is specialised
+   at the call site under any profile.  [I32]'s primitives exchange
+   [int32]; [Int32.to_int]/[Int32.of_int] are primitives too, and the
+   conversion folds into the load or store.  The values being exact, a
+   kernel reads the same integers and floats either way.
 
    [I32.guard] is the build-time overflow gate: callers that are about
    to store counts (CSR offsets, entity ids) must pass the largest one
@@ -44,8 +49,9 @@ module I32 = struct
   let length : t -> int = A1.dim
   let get (a : t) i = Int32.to_int (A1.get a i)
   let set (a : t) i v = A1.set a i (Int32.of_int v)
-  let uget (a : t) i = Int32.to_int (A1.unsafe_get a i)
-  let uset (a : t) i v = A1.unsafe_set a i (Int32.of_int v)
+
+  external uget : t -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
 
   let of_array ~what (xs : int array) : t =
     let n = Array.length xs in
@@ -56,7 +62,7 @@ module I32 = struct
     done;
     a
 
-  let to_array (a : t) = Array.init (A1.dim a) (fun i -> uget a i)
+  let to_array (a : t) = Array.init (A1.dim a) (fun i -> Int32.to_int (uget a i))
 
   let blit_array (xs : int array) ~src_off (a : t) ~dst_off ~len =
     for i = 0 to len - 1 do
@@ -77,8 +83,9 @@ module I8 = struct
   let length : t -> int = A1.dim
   let get (a : t) i : int = A1.get a i
   let set (a : t) i (v : int) = A1.set a i v
-  let uget (a : t) i : int = A1.unsafe_get a i
-  let uset (a : t) i (v : int) = A1.unsafe_set a i v
+
+  external uget : t -> int -> int = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 end
 
 module F64 = struct
@@ -92,8 +99,10 @@ module F64 = struct
   let length : t -> int = A1.dim
   let get (a : t) i : float = A1.get a i
   let set (a : t) i (v : float) = A1.set a i v
-  let uget (a : t) i : float = A1.unsafe_get a i
-  let uset (a : t) i (v : float) = A1.unsafe_set a i v
+
+  external uget : t -> int -> float = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+
   let of_array (xs : float array) : t = A1.of_array BA.float64 BA.c_layout xs
   let to_array (a : t) = Array.init (A1.dim a) (fun i -> uget a i)
 end

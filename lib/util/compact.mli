@@ -4,9 +4,13 @@
 
     Payloads live outside the OCaml heap: the GC never scans them and
     they cost exactly 4, 1 or 8 bytes per element.  [get]/[set] are
-    bounds-checked; [uget]/[uset] are the unchecked variants for hot
-    kernels whose index ranges are correct by construction (CSR walks).
-    All accessors exchange plain [int]/[float] values. *)
+    bounds-checked and exchange plain [int]/[float] values; [uget]/[uset]
+    are the unchecked variants for hot kernels whose index ranges are
+    correct by construction (CSR walks).  They are declared [external],
+    so every call compiles to a bare load or store even when this
+    module's implementation is opaque to the caller; [I32]'s exchange
+    [int32], which call sites convert with the [Int32.to_int] /
+    [Int32.of_int] primitives. *)
 
 module I32 : sig
   type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -25,8 +29,8 @@ module I32 : sig
   val length : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
-  val uget : t -> int -> int
-  val uset : t -> int -> int -> unit
+  external uget : t -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
 
   val of_array : what:string -> int array -> t
   (** Copies, passing every element through {!guard}. *)
@@ -43,8 +47,8 @@ module I8 : sig
   val length : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
-  val uget : t -> int -> int
-  val uset : t -> int -> int -> unit
+  external uget : t -> int -> int = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 end
 
 module F64 : sig
@@ -54,8 +58,8 @@ module F64 : sig
   val length : t -> int
   val get : t -> int -> float
   val set : t -> int -> float -> unit
-  val uget : t -> int -> float
-  val uset : t -> int -> float -> unit
+  external uget : t -> int -> float = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   val of_array : float array -> t
   val to_array : t -> float array
 end

@@ -1,6 +1,8 @@
 module Soa = Dpp_netlist.Soa
 
-let net t ~cx ~cy n =
+(* [@inline] so [total] sums each net's length unboxed; callers in other
+   modules get a real call and a boxed float. *)
+let[@inline] net t ~cx ~cy n =
   let k = Pins.load_net t ~cx ~cy n in
   if k < 2 then 0.0
   else begin

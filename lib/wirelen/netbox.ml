@@ -65,9 +65,9 @@ let scan_into t n ~bxmin ~bxmax ~bymin ~bymax ~cxmin ~cxmax ~cymin ~cymax =
   let xmin = ref infinity and xmax = ref neg_infinity in
   let ymin = ref infinity and ymax = ref neg_infinity in
   let nxmin = ref 0 and nxmax = ref 0 and nymin = ref 0 and nymax = ref 0 in
-  for i = I32.uget t.net_off n to I32.uget t.net_off (n + 1) - 1 do
-    let p = I32.uget t.net_pin i in
-    let c = I32.uget pin_cell p in
+  for i = Int32.to_int (I32.uget t.net_off n) to Int32.to_int (I32.uget t.net_off (n + 1)) - 1 do
+    let p = Int32.to_int (I32.uget t.net_pin i) in
+    let c = Int32.to_int (I32.uget pin_cell p) in
     let x = t.cx.(c) +. off_x.(p) and y = t.cy.(c) +. off_y.(p) in
     if x < !xmin then begin xmin := x; nxmin := 1 end
     else if x = !xmin then incr nxmin;
@@ -250,9 +250,12 @@ let move_cell t i nx ny =
   let ox = t.cx.(i) and oy = t.cy.(i) in
   let off_x = t.pins.Pins.off_x and off_y = t.pins.Pins.off_y in
   let s = t.pins.Pins.soa in
-  for k = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-    let p = I32.uget s.Soa.cell_pin k in
-    let n = I32.uget t.pin_net p in
+  for
+    k = Int32.to_int (I32.uget s.Soa.cell_pin_off i)
+    to Int32.to_int (I32.uget s.Soa.cell_pin_off (i + 1)) - 1
+  do
+    let p = Int32.to_int (I32.uget s.Soa.cell_pin k) in
+    let n = Int32.to_int (I32.uget t.pin_net p) in
     if n >= 0 then begin
       let deg = t.degree.(n) in
       if deg >= 2 then
@@ -277,10 +280,13 @@ let flip_cell t i =
   let x = t.cx.(i) in
   let off_x = t.pins.Pins.off_x in
   let s = t.pins.Pins.soa in
-  for k = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-    let p = I32.uget s.Soa.cell_pin k in
+  for
+    k = Int32.to_int (I32.uget s.Soa.cell_pin_off i)
+    to Int32.to_int (I32.uget s.Soa.cell_pin_off (i + 1)) - 1
+  do
+    let p = Int32.to_int (I32.uget s.Soa.cell_pin k) in
     let off = off_x.(p) in
-    let n = I32.uget t.pin_net p in
+    let n = Int32.to_int (I32.uget t.pin_net p) in
     if n >= 0 then begin
       let deg = t.degree.(n) in
       if deg >= 2 then
@@ -301,9 +307,9 @@ let scan_box t n =
   let off_x = t.pins.Pins.off_x and off_y = t.pins.Pins.off_y in
   let xmin = ref infinity and xmax = ref neg_infinity in
   let ymin = ref infinity and ymax = ref neg_infinity in
-  for i = I32.uget t.net_off n to I32.uget t.net_off (n + 1) - 1 do
-    let p = I32.uget t.net_pin i in
-    let c = I32.uget pin_cell p in
+  for i = Int32.to_int (I32.uget t.net_off n) to Int32.to_int (I32.uget t.net_off (n + 1)) - 1 do
+    let p = Int32.to_int (I32.uget t.net_pin i) in
+    let c = Int32.to_int (I32.uget pin_cell p) in
     let x = t.cx.(c) +. off_x.(p) and y = t.cy.(c) +. off_y.(p) in
     if x < !xmin then xmin := x;
     if x > !xmax then xmax := x;
@@ -391,9 +397,12 @@ let audit ?pool ?(tol = 1e-6) t =
         if t.degree.(n) >= 2 then begin
           let xmin = ref infinity and xmax = ref neg_infinity in
           let ymin = ref infinity and ymax = ref neg_infinity in
-          for i = I32.uget t.net_off n to I32.uget t.net_off (n + 1) - 1 do
-            let p = I32.uget t.net_pin i in
-            let c = I32.uget pin_cell p in
+          for
+            i = Int32.to_int (I32.uget t.net_off n)
+            to Int32.to_int (I32.uget t.net_off (n + 1)) - 1
+          do
+            let p = Int32.to_int (I32.uget t.net_pin i) in
+            let c = Int32.to_int (I32.uget pin_cell p) in
             let x = t.cx.(c) +. off_x.(p) and y = t.cy.(c) +. off_y.(p) in
             if x < !xmin then xmin := x;
             if x > !xmax then xmax := x;
@@ -459,8 +468,11 @@ let eval_moves t ~k cells xs ys =
   let nets = ref [] in
   for j = 0 to k - 1 do
     let c = cells.(j) in
-    for q = I32.uget s.Soa.cell_pin_off c to I32.uget s.Soa.cell_pin_off (c + 1) - 1 do
-      let n = I32.uget t.pin_net (I32.uget s.Soa.cell_pin q) in
+    for
+      q = Int32.to_int (I32.uget s.Soa.cell_pin_off c)
+      to Int32.to_int (I32.uget s.Soa.cell_pin_off (c + 1)) - 1
+    do
+      let n = Int32.to_int (I32.uget t.pin_net (Int32.to_int (I32.uget s.Soa.cell_pin q))) in
       if n >= 0 && t.degree.(n) >= 2 && not (List.mem n !nets) then nets := n :: !nets
     done
   done;
@@ -476,9 +488,12 @@ let eval_moves t ~k cells xs ys =
     (fun n ->
       let xmin = ref infinity and xmax = ref neg_infinity in
       let ymin = ref infinity and ymax = ref neg_infinity in
-      for i = I32.uget t.net_off n to I32.uget t.net_off (n + 1) - 1 do
-        let p = I32.uget t.net_pin i in
-        let c = I32.uget pin_cell p in
+      for
+        i = Int32.to_int (I32.uget t.net_off n)
+        to Int32.to_int (I32.uget t.net_off (n + 1)) - 1
+      do
+        let p = Int32.to_int (I32.uget t.net_pin i) in
+        let c = Int32.to_int (I32.uget pin_cell p) in
         let j = moved_index c in
         let bx = if j >= 0 then xs.(j) else t.cx.(c) in
         let by = if j >= 0 then ys.(j) else t.cy.(c) in
@@ -499,17 +514,23 @@ let eval_flip t i =
   let pin_cell = t.pins.Pins.pin_cell in
   let off_x = t.pins.Pins.off_x in
   let nets = ref [] in
-  for q = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-    let n = I32.uget t.pin_net (I32.uget s.Soa.cell_pin q) in
+  for
+    q = Int32.to_int (I32.uget s.Soa.cell_pin_off i)
+    to Int32.to_int (I32.uget s.Soa.cell_pin_off (i + 1)) - 1
+  do
+    let n = Int32.to_int (I32.uget t.pin_net (Int32.to_int (I32.uget s.Soa.cell_pin q))) in
     if n >= 0 && t.degree.(n) >= 2 && not (List.mem n !nets) then nets := n :: !nets
   done;
   let acc = ref 0.0 in
   List.iter
     (fun n ->
       let xmin = ref infinity and xmax = ref neg_infinity in
-      for q = I32.uget t.net_off n to I32.uget t.net_off (n + 1) - 1 do
-        let p = I32.uget t.net_pin q in
-        let c = I32.uget pin_cell p in
+      for
+        q = Int32.to_int (I32.uget t.net_off n)
+        to Int32.to_int (I32.uget t.net_off (n + 1)) - 1
+      do
+        let p = Int32.to_int (I32.uget t.net_pin q) in
+        let c = Int32.to_int (I32.uget pin_cell p) in
         let off = if c = i then -.off_x.(p) else off_x.(p) in
         let x = t.cx.(c) +. off in
         if x < !xmin then xmin := x;
@@ -530,8 +551,11 @@ let rollback t =
     let s = t.pins.Pins.soa in
     for k = 0 to t.n_mirrored - 1 do
       let i = t.mirrored.(k) in
-      for q = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-        let p = I32.uget s.Soa.cell_pin q in
+      for
+        q = Int32.to_int (I32.uget s.Soa.cell_pin_off i)
+        to Int32.to_int (I32.uget s.Soa.cell_pin_off (i + 1)) - 1
+      do
+        let p = Int32.to_int (I32.uget s.Soa.cell_pin q) in
         t.pins.Pins.off_x.(p) <- -.t.pins.Pins.off_x.(p)
       done
     done;

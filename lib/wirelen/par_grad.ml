@@ -28,19 +28,21 @@ let scan t pool ~gamma ~cx ~cy ~want_grad =
   Pool.iter_chunks pool ~n:(Soa.num_nets s) (fun ~worker ~chunk:_ ~lo ~hi ->
       let view = t.views.(worker) in
       for n = lo to hi - 1 do
-        let plo = I32.uget s.Soa.net_pin_off n in
+        let plo = Int32.to_int (I32.uget s.Soa.net_pin_off n) in
         let k = Pins.load_net view ~cx ~cy n in
         if k >= 2 then begin
           let wn = s.Soa.net_weight.(n) in
           let vx = Lse.axis_value_grad view.Pins.scratch_x k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
           if want_grad then
             for i = 0 to k - 1 do
-              t.pin_gx.(I32.uget s.Soa.net_pin (plo + i)) <- wn *. view.Pins.scratch_w.(i)
+              let p = Int32.to_int (I32.uget s.Soa.net_pin (plo + i)) in
+              t.pin_gx.(p) <- wn *. view.Pins.scratch_w.(i)
             done;
           let vy = Lse.axis_value_grad view.Pins.scratch_y k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
           if want_grad then
             for i = 0 to k - 1 do
-              t.pin_gy.(I32.uget s.Soa.net_pin (plo + i)) <- wn *. view.Pins.scratch_w.(i)
+              let p = Int32.to_int (I32.uget s.Soa.net_pin (plo + i)) in
+              t.pin_gy.(p) <- wn *. view.Pins.scratch_w.(i)
             done;
           t.net_val.(n) <- wn *. (vx +. vy)
         end
@@ -58,17 +60,18 @@ let reduce t ~want_grad ~gx ~gy =
   let net_pin = s.Soa.net_pin in
   let acc = ref 0.0 in
   for n = 0 to Soa.num_nets s - 1 do
-    let lo = I32.uget s.Soa.net_pin_off n and hi = I32.uget s.Soa.net_pin_off (n + 1) in
+    let lo = Int32.to_int (I32.uget s.Soa.net_pin_off n)
+    and hi = Int32.to_int (I32.uget s.Soa.net_pin_off (n + 1)) in
     if hi - lo >= 2 then begin
       if want_grad then begin
         for i = lo to hi - 1 do
-          let p = I32.uget net_pin i in
-          let c = I32.uget pin_cell p in
+          let p = Int32.to_int (I32.uget net_pin i) in
+          let c = Int32.to_int (I32.uget pin_cell p) in
           gx.(c) <- gx.(c) +. t.pin_gx.(p)
         done;
         for i = lo to hi - 1 do
-          let p = I32.uget net_pin i in
-          let c = I32.uget pin_cell p in
+          let p = Int32.to_int (I32.uget net_pin i) in
+          let c = Int32.to_int (I32.uget pin_cell p) in
           gy.(c) <- gy.(c) +. t.pin_gy.(p)
         done
       end;

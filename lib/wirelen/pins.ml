@@ -21,7 +21,7 @@ let of_soa (s : Soa.t) =
   let off_x = Array.make np 0.0 in
   let off_y = Array.make np 0.0 in
   for p = 0 to np - 1 do
-    let ci = I32.uget s.Soa.pin_cell p in
+    let ci = Int32.to_int (I32.uget s.Soa.pin_cell p) in
     (* offsets respect the cell's orientation at build time (orientation is
        constant during an optimization phase; the flip pass mirrors them
        in place) *)
@@ -66,22 +66,23 @@ let clone_scratch t =
 
 let flip_cell_x t i =
   let s = t.soa in
-  for k = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-    let p = I32.uget s.Soa.cell_pin k in
+  for
+    k = Int32.to_int (I32.uget s.Soa.cell_pin_off i)
+    to Int32.to_int (I32.uget s.Soa.cell_pin_off (i + 1)) - 1
+  do
+    let p = Int32.to_int (I32.uget s.Soa.cell_pin k) in
     t.off_x.(p) <- -.t.off_x.(p)
   done
 
-let pin_x t ~cx p = Array.unsafe_get cx (I32.uget t.pin_cell p) +. Array.unsafe_get t.off_x p
-let pin_y t ~cy p = Array.unsafe_get cy (I32.uget t.pin_cell p) +. Array.unsafe_get t.off_y p
-
 let load_net t ~cx ~cy n =
   let s = t.soa in
-  let lo = I32.uget s.Soa.net_pin_off n in
-  let k = I32.uget s.Soa.net_pin_off (n + 1) - lo in
+  let lo = Int32.to_int (I32.uget s.Soa.net_pin_off n) in
+  let k = Int32.to_int (I32.uget s.Soa.net_pin_off (n + 1)) - lo in
   for i = 0 to k - 1 do
-    let p = I32.uget s.Soa.net_pin (lo + i) in
-    t.scratch_x.(i) <- pin_x t ~cx p;
-    t.scratch_y.(i) <- pin_y t ~cy p
+    let p = Int32.to_int (I32.uget s.Soa.net_pin (lo + i)) in
+    let c = Int32.to_int (I32.uget t.pin_cell p) in
+    t.scratch_x.(i) <- cx.(c) +. t.off_x.(p);
+    t.scratch_y.(i) <- cy.(c) +. t.off_y.(p)
   done;
   k
 

@@ -44,14 +44,10 @@ val flip_cell_x : t -> int -> unit
     array {e before} any netbox exists (checkpoint resume); the caller
     must keep [design.orient] in step. *)
 
-val pin_x : t -> cx:float array -> int -> float
-(** Pin absolute x given cell centers [cx]. *)
-
-val pin_y : t -> cy:float array -> int -> float
-
 val load_net : t -> cx:float array -> cy:float array -> int -> int
 (** Copy the pin coordinates of net [n] into the scratch buffers; returns
-    the pin count.  Pins are ordered as in the net's pin array. *)
+    the pin count.  Pins are ordered as in the net's pin array, and pin
+    [p] of cell [c] sits at [cx.(c) +. off_x.(p)], [cy.(c) +. off_y.(p)]. *)
 
 val centers_of_design : Dpp_netlist.Design.t -> float array * float array
 (** Current cell-center coordinate arrays (fresh). *)

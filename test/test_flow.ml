@@ -188,6 +188,44 @@ let test_ml_levels_released () =
   Alcotest.(check bool) "levels live after gp" true (!after_gp > 0);
   Alcotest.(check int) "levels released by snap" 0 !after_snap
 
+(* Words a stage allocates count in its ledger even when no collection
+   folds them into the GC's statistics before the stage ends: one
+   10,000-float array goes straight into the major heap (it is past the
+   minor heap's size limit), and a 30,000-cell list fills 90,000 words of
+   the 256k-word minor heap. *)
+let test_ledger_counts_words () =
+  let d = flow_design () in
+  let cfg = { small_cfg with Config.mode = Config.Baseline } in
+  let stage name f =
+    {
+      Flow.name;
+      run =
+        (fun ctx ->
+          f ();
+          ctx);
+    }
+  in
+  let major () = ignore (Sys.opaque_identity (Array.make 10_000 0.0)) in
+  let minor () =
+    let l = ref [] in
+    for i = 1 to 30_000 do
+      l := Sys.opaque_identity (i :: !l)
+    done;
+    ignore (Sys.opaque_identity !l)
+  in
+  let metrics = List.find (fun s -> s.Flow.name = "metrics") (Flow.stages cfg) in
+  let stages = [ stage "major" major; stage "minor" minor; metrics ] in
+  let r = Flow.run_ctx ~stages (Flow.context d cfg) in
+  let mwords name key =
+    let st = List.find (fun (t : Trace.stage) -> t.Trace.name = name) r.Flow.stage_trace in
+    match List.assoc_opt key st.Trace.extra with
+    | Some (Json.Num w) -> w
+    | _ -> Alcotest.failf "no %s in the %s stage record" key name
+  in
+  let major = mwords "major" "gc_major_mwords" and minor = mwords "minor" "gc_minor_mwords" in
+  Alcotest.(check bool) (Printf.sprintf "major Mwords %g >= 0.01" major) true (major >= 0.01);
+  Alcotest.(check bool) (Printf.sprintf "minor Mwords %g >= 0.08" minor) true (minor >= 0.08)
+
 let test_multilevel_threshold () =
   let cfg = Config.structure_aware in
   Alcotest.(check bool) "1500 movables stay flat" false
@@ -210,4 +248,5 @@ let suite =
     Alcotest.test_case "legal failed count traced" `Slow test_legal_failed_traced;
     Alcotest.test_case "coarse levels released after gp" `Slow test_ml_levels_released;
     Alcotest.test_case "multilevel threshold" `Quick test_multilevel_threshold;
+    Alcotest.test_case "ledger counts unfolded words" `Quick test_ledger_counts_words;
   ]
